@@ -31,7 +31,7 @@ FaultInjector.*:ResultJournal.*:CampaignCheck.*:CampaignResume.*:
 CampaignDegradation.*:
 ProcProtocol.*:ProcWorkerPool.*:ProcCampaign.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
-CampaignOptions.*
+CampaignOptions.*:CellBatchMapping.*:Isolation/SharedEngineRestore.*
 EOF
 )"
 

@@ -46,11 +46,6 @@ namespace rigor::exec
 class SimulationEngine;
 class ResultJournal;
 
-namespace proc
-{
-class ProcWorkerPool;
-} // namespace proc
-
 namespace net
 {
 class CampaignController;
@@ -127,16 +122,6 @@ struct CampaignOptions
      */
     std::chrono::milliseconds hardDeadline{0};
     /**
-     * Optional pre-built sandbox pool (not owned; must outlive the
-     * call). Multi-phase drivers (workflow screen + factorial,
-     * enhancement base + enhanced legs) share one pool here so the
-     * workers fork once; when null and isolation is Process, the
-     * driver builds a private pool per phase. Ignored under thread
-     * isolation.
-     */
-    proc::ProcWorkerPool *procPool = nullptr;
-
-    /**
      * Remote isolation: the lease-granting controller that shards
      * cells across the TCP worker fleet (not owned; must outlive the
      * call). Required when isolation is Remote — the drivers swap the
@@ -211,6 +196,32 @@ struct CampaignOptions
      *  one record per (benchmark, row) cell, terminal summary. */
     obs::CampaignManifest *manifest = nullptr;
 };
+
+/**
+ * Reduce a remote campaign's topology to the plain-integer RemotePlan
+ * the check layer pre-flights (campaign.no-workers,
+ * campaign.lease-shorter-than-deadline,
+ * campaign.heartbeat-too-coarse). Disabled — and therefore skipped by
+ * every analyzer — unless the campaign runs under
+ * IsolationMode::Remote.
+ */
+inline check::RemotePlan
+remotePlanFor(const CampaignOptions &campaign)
+{
+    check::RemotePlan plan;
+    if (campaign.isolation != IsolationMode::Remote)
+        return plan;
+    plan.enabled = true;
+    plan.workers = campaign.remoteWorkers;
+    plan.leaseMs = static_cast<std::uint64_t>(campaign.leaseDuration.count());
+    plan.heartbeatMs =
+        static_cast<std::uint64_t>(campaign.heartbeatInterval.count());
+    plan.attemptDeadlineMs = static_cast<std::uint64_t>(
+        campaign.faultPolicy.attemptDeadline.count());
+    plan.hardDeadlineMs =
+        static_cast<std::uint64_t>(campaign.hardDeadline.count());
+    return plan;
+}
 
 } // namespace rigor::exec
 

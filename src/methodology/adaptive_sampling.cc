@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
-#include <utility>
 
 #include "doe/ranking.hh"
-#include "methodology/campaign_instrumentation.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/rank_table.hh"
 
@@ -18,59 +14,6 @@ namespace rigor::methodology
 
 namespace
 {
-
-/**
- * Per-run CI half-widths in *cycles*, captured from the engine's job
- * events and keyed by benchmark name so refinement rounds (which run
- * a benchmark subset, renumbering job indices) splice cleanly. Cache
- * and journal hits replay only the response, so their half-width is
- * recorded as zero — an understatement the adaptive loop tolerates:
- * a hit means the identical schedule already ran, and its ambiguity
- * was judged when it was fresh.
- */
-using HalfWidthsByBench =
-    std::unordered_map<std::string, std::vector<double>>;
-
-using detail::ObserverScope;
-
-/** One sampled runPbExperiment call with half-width capture. */
-PbExperimentResult
-runRound(std::span<const trace::WorkloadProfile> workloads,
-         const PbExperimentOptions &options,
-         exec::SimulationEngine &engine, HalfWidthsByBench &half)
-{
-    // jobIndex -> CI half-width in cycles, raw; mapped onto
-    // (benchmark, row) once the design's row count is known.
-    std::mutex mutex;
-    std::unordered_map<std::size_t, double> by_job;
-    ObserverScope capture(
-        engine, [&mutex, &by_job](const exec::JobEvent &event) {
-            if (!event.ok)
-                return;
-            const double cycles_half =
-                event.sampled
-                    ? event.sample.ciHalfWidth *
-                          static_cast<double>(
-                              event.sample.streamInstructions)
-                    : 0.0;
-            const std::scoped_lock lock(mutex);
-            by_job[event.jobIndex] = cycles_half;
-        });
-
-    PbExperimentResult result = runPbExperiment(workloads, options);
-
-    const std::size_t num_runs = result.design.numRows();
-    for (const auto &[job_index, cycles_half] : by_job) {
-        const std::size_t bench = job_index / num_runs;
-        if (bench >= workloads.size())
-            continue;
-        std::vector<double> &row_halves =
-            half[workloads[bench].name];
-        row_halves.resize(num_runs, 0.0);
-        row_halves[job_index % num_runs] = cycles_half;
-    }
-    return result;
-}
 
 /** Ambiguous (benchmark, top-K factor) pairs of the current table. */
 struct Ambiguity
@@ -81,7 +24,6 @@ struct Ambiguity
 
 Ambiguity
 findAmbiguity(const PbExperimentResult &result,
-              const HalfWidthsByBench &half,
               const std::vector<std::string> &factor_names,
               const AdaptiveSamplingOptions &options)
 {
@@ -100,17 +42,12 @@ findAmbiguity(const PbExperimentResult &result,
     }
 
     for (std::size_t b = 0; b < result.benchmarks.size(); ++b) {
-        const auto it = half.find(result.benchmarks[b]);
-        if (it == half.end())
-            continue;
-        // The effect is sum(sign_r * response_r); with independent
-        // per-run errors h_r its propagated uncertainty is
-        // sqrt(sum h_r^2) regardless of the signs.
-        double sum_sq = 0.0;
-        for (const double h : it->second)
-            sum_sq += h * h;
+        // Cache and journal hits replay only the response, so their
+        // half-width is zero — an understatement the loop tolerates:
+        // a hit means the identical schedule already ran, and its
+        // ambiguity was judged when it was fresh.
         const double threshold =
-            options.ambiguityFactor * std::sqrt(sum_sq);
+            options.ambiguityFactor * result.effectCiHalfWidth(b);
         if (threshold <= 0.0)
             continue;
         const std::vector<double> &effects = result.effects[b];
@@ -138,6 +75,7 @@ splice(PbExperimentResult &master, const PbExperimentResult &refined)
         const std::size_t b = static_cast<std::size_t>(
             it - master.benchmarks.begin());
         master.responses[b] = refined.responses[s];
+        master.ciHalfWidths[b] = refined.ciHalfWidths[s];
         master.effects[b] = refined.effects[s];
         master.ranks[b] = refined.ranks[s];
     }
@@ -163,17 +101,14 @@ runAdaptivePbExperiment(
     PbExperimentOptions opts = options.base;
     exec::SimulationEngine local_engine(
         exec::EngineOptions{opts.campaign.threads, true});
-    exec::SimulationEngine &engine = opts.campaign.engine
-                                         ? *opts.campaign.engine
-                                         : local_engine;
-    opts.campaign.engine = &engine;
+    if (opts.campaign.engine == nullptr)
+        opts.campaign.engine = &local_engine; // one cache for all rounds
 
     AdaptiveSamplingResult out;
-    HalfWidthsByBench half;
     const std::vector<std::string> names = factorNames();
 
     // Round 0: the full sampled screen.
-    out.result = runRound(workloads, opts, engine, half);
+    out.result = runPbExperiment(workloads, opts);
     {
         AdaptiveRound round;
         round.sampling = opts.campaign.sampling;
@@ -184,7 +119,7 @@ runAdaptivePbExperiment(
     const std::string base_name = opts.experimentName;
     for (unsigned round = 0;; ++round) {
         const Ambiguity ambiguity =
-            findAmbiguity(out.result, half, names, options);
+            findAmbiguity(out.result, names, options);
         out.rounds.back().ambiguousPairs = ambiguity.pairs;
         if (ambiguity.pairs == 0) {
             out.converged = true;
@@ -215,7 +150,7 @@ runAdaptivePbExperiment(
             break;
 
         const PbExperimentResult refined =
-            runRound(subset, opts, engine, half);
+            runPbExperiment(subset, opts);
         splice(out.result, refined);
 
         AdaptiveRound record;

@@ -8,9 +8,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "check/preflight.hh"
 #include "check/rule_ids.hh"
-#include "methodology/campaign_instrumentation.hh"
+#include "methodology/cell_batch.hh"
 
 namespace rigor::methodology
 {
@@ -118,28 +117,12 @@ runEnhancementExperiment(
         throw std::invalid_argument(
             "runEnhancementExperiment: hook_factory is required");
 
-    // Mutable copy: under process isolation both legs share one
-    // sandbox pool injected below.
-    exec::CampaignOptions campaign = options.campaign;
-
-    // Pre-flight the shared ingredients (workloads, run lengths,
-    // parameter space) up front so a bad recipe is rejected before
-    // the engine is even constructed; each leg's runPbExperiment
-    // additionally proves its design matrix.
-    if (!campaign.skipPreflight) {
-        check::ExperimentPlan plan;
-        plan.workloads = workloads;
-        plan.auditParameterSpace = true;
-        plan.instructionsPerRun = options.instructionsPerRun;
-        plan.warmupInstructions = options.warmupInstructions;
-        plan.replication = options.campaign.replication;
-        plan.remote = detail::remotePlanFor(options.campaign);
-        check::preflightOrThrow(plan, "runEnhancementExperiment");
-    }
+    const exec::CampaignOptions &campaign = options.campaign;
 
     // Both legs share one engine: the pool, the run cache (a base leg
     // already simulated through campaign.engine is free), and the
-    // progress counters.
+    // progress counters. Each leg's screen pre-flights the whole
+    // recipe, so a bad one is rejected before anything is simulated.
     exec::SimulationEngine local_engine(
         exec::EngineOptions{campaign.threads, true});
     exec::SimulationEngine &engine =
@@ -149,9 +132,7 @@ runEnhancementExperiment(
     // with the hook factory so the enhanced leg's children can
     // rebuild the enhancement hook from the shipped profile.
     const std::unique_ptr<exec::proc::ProcWorkerPool> shared_pool =
-        detail::makeSharedProcPool(engine, campaign, hook_factory);
-    if (shared_pool != nullptr)
-        campaign.procPool = shared_pool.get();
+        detail::makeProcPool(engine, campaign, hook_factory);
 
     EnhancementExperimentResult result;
 
@@ -161,9 +142,9 @@ runEnhancementExperiment(
         base_opts.hookFactory = {};
         base_opts.hookId.clear();
         base_opts.experimentName = "enhancement_base";
-        base_opts.campaign = campaign;
         base_opts.campaign.engine = &engine;
-        result.base = runPbExperiment(workloads, base_opts);
+        result.base =
+            detail::runPbScreen(workloads, base_opts, shared_pool.get());
     }
 
     {
@@ -172,9 +153,9 @@ runEnhancementExperiment(
         enhanced_opts.hookFactory = hook_factory;
         enhanced_opts.hookId = hook_id;
         enhanced_opts.experimentName = "enhancement_enhanced";
-        enhanced_opts.campaign = campaign;
         enhanced_opts.campaign.engine = &engine;
-        result.enhanced = runPbExperiment(workloads, enhanced_opts);
+        result.enhanced = detail::runPbScreen(workloads, enhanced_opts,
+                                              shared_pool.get());
     }
 
     // Fault degradation may have dropped different benchmarks from

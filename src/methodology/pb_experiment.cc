@@ -1,19 +1,18 @@
 #include "methodology/pb_experiment.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
-
-#include <chrono>
 
 #include "check/preflight.hh"
 #include "doe/effects.hh"
 #include "doe/foldover.hh"
 #include "doe/pb_design.hh"
-#include "exec/journal.hh"
-#include "methodology/campaign_instrumentation.hh"
+#include "methodology/cell_batch.hh"
 #include "methodology/parameter_space.hh"
 #include "methodology/rank_table.hh"
+#include "obs/json.hh"
 #include "trace/generator.hh"
 
 namespace rigor::methodology
@@ -29,6 +28,15 @@ PbExperimentResult::rankVectors() const
         vectors.push_back(std::move(v));
     }
     return vectors;
+}
+
+double
+PbExperimentResult::effectCiHalfWidth(std::size_t bench) const
+{
+    double sum_sq = 0.0;
+    for (const double h : ciHalfWidths.at(bench))
+        sum_sq += h * h;
+    return std::sqrt(sum_sq);
 }
 
 void
@@ -48,6 +56,8 @@ PbExperimentResult::dropBenchmarks(std::span<const std::string> names)
             benchmarks[kept] = std::move(benchmarks[b]);
             if (b < responses.size())
                 responses[kept] = std::move(responses[b]);
+            if (b < ciHalfWidths.size())
+                ciHalfWidths[kept] = std::move(ciHalfWidths[b]);
             if (b < effects.size())
                 effects[kept] = std::move(effects[b]);
             if (b < ranks.size())
@@ -65,6 +75,8 @@ PbExperimentResult::dropBenchmarks(std::span<const std::string> names)
     benchmarks.resize(kept);
     if (responses.size() > kept)
         responses.resize(kept);
+    if (ciHalfWidths.size() > kept)
+        ciHalfWidths.resize(kept);
     if (effects.size() > kept)
         effects.resize(kept);
     if (ranks.size() > kept)
@@ -97,15 +109,32 @@ simulateOnce(const trace::WorkloadProfile &profile,
 namespace
 {
 
-/** One engine job per (benchmark, design row) pair. */
-std::vector<exec::SimJob>
-pbSimJobs(std::span<const trace::WorkloadProfile> workloads,
+/** FNV-1a digest (hex) of a design matrix's dimensions and signs. */
+std::string
+designDigest(const doe::DesignMatrix &design)
+{
+    std::string serialized;
+    serialized.reserve(design.numRows() * (design.numColumns() + 1) +
+                       16);
+    serialized += std::to_string(design.numRows());
+    serialized += 'x';
+    serialized += std::to_string(design.numColumns());
+    serialized += ':';
+    for (std::size_t r = 0; r < design.numRows(); ++r)
+        for (std::size_t c = 0; c < design.numColumns(); ++c)
+            serialized += design.sign(r, c) > 0 ? '+' : '-';
+    return obs::digestHex(obs::fnv1a(serialized));
+}
+
+/** One engine job per (benchmark, design row) pair, benchmark-major. */
+void
+addPbJobs(std::span<const trace::WorkloadProfile> workloads,
           const doe::DesignMatrix &design,
-          const PbExperimentOptions &options)
+          const PbExperimentOptions &options, detail::CellBatchPlan &plan)
 {
     const std::size_t num_runs = design.numRows();
-    std::vector<exec::SimJob> jobs;
-    jobs.reserve(workloads.size() * num_runs);
+    plan.jobs.reserve(workloads.size() * num_runs);
+    plan.cells.reserve(workloads.size() * num_runs);
     for (std::size_t bench = 0; bench < workloads.size(); ++bench) {
         const trace::WorkloadProfile &workload = workloads[bench];
         for (std::size_t run = 0; run < num_runs; ++run) {
@@ -126,10 +155,10 @@ pbSimJobs(std::span<const trace::WorkloadProfile> workloads,
             }
             job.label = workload.name + ", design row " +
                         std::to_string(run);
-            jobs.push_back(std::move(job));
+            plan.jobs.push_back(std::move(job));
+            plan.cells.push_back({bench, run});
         }
     }
-    return jobs;
 }
 
 } // namespace
@@ -138,6 +167,14 @@ PbExperimentResult
 runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
                 const PbExperimentOptions &options)
 {
+    return detail::runPbScreen(workloads, options, nullptr);
+}
+
+PbExperimentResult
+detail::runPbScreen(std::span<const trace::WorkloadProfile> workloads,
+                    const PbExperimentOptions &options,
+                    exec::proc::ProcWorkerPool *pool)
+{
     if (workloads.empty())
         throw std::invalid_argument("runPbExperiment: no workloads");
     if (options.instructionsPerRun == 0)
@@ -145,7 +182,6 @@ runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
             "runPbExperiment: instructionsPerRun must be non-zero");
 
     const exec::CampaignOptions &campaign = options.campaign;
-    const auto campaign_start = std::chrono::steady_clock::now();
 
     PbExperimentResult result;
     doe::DesignMatrix base = options.design
@@ -153,162 +189,96 @@ runPbExperiment(std::span<const trace::WorkloadProfile> workloads,
                                  : doe::pbDesignForFactors(numFactors);
     result.design = campaign.foldover ? doe::foldover(base) : base;
 
-    const std::size_t num_benches = workloads.size();
     const std::size_t num_runs = result.design.numRows();
-    result.benchmarks.reserve(num_benches);
+    result.benchmarks.reserve(workloads.size());
     for (const trace::WorkloadProfile &w : workloads)
         result.benchmarks.push_back(w.name);
 
-    if (campaign.manifest) {
-        obs::CampaignInfo info;
-        info.experiment = options.experimentName;
-        info.factors = result.design.numColumns();
-        info.rows = num_runs;
-        info.foldover = campaign.foldover;
-        info.designDigest = detail::designDigest(result.design);
-        info.workloads = result.benchmarks;
-        info.instructionsPerRun = options.instructionsPerRun;
-        info.warmupInstructions = options.warmupInstructions;
-        info.sampling = campaign.sampling;
-        campaign.manifest->beginCampaign(info);
-    }
+    detail::CellBatchPlan plan;
+    plan.caller = "runPbExperiment";
+    plan.info.experiment = options.experimentName;
+    plan.info.factors = result.design.numColumns();
+    plan.info.rows = num_runs;
+    plan.info.foldover = campaign.foldover;
+    plan.info.designDigest = designDigest(result.design);
+    plan.info.workloads = result.benchmarks;
+    plan.info.instructionsPerRun = options.instructionsPerRun;
+    plan.info.warmupInstructions = options.warmupInstructions;
+    plan.info.sampling = campaign.sampling;
+    addPbJobs(workloads, result.design, options, plan);
 
     // Mandatory pre-flight: prove the design is a balanced
     // orthogonal ±1 (foldover) matrix, audit the Tables 6-8
     // parameter space, and vet every workload profile and the run
     // lengths — before a single cycle is simulated.
-    if (!campaign.skipPreflight) {
-        detail::PhaseScope phase(campaign, "preflight");
-        check::ExperimentPlan plan;
-        plan.design = &result.design;
-        plan.expectedFactors = numFactors;
-        plan.designIsFolded = campaign.foldover;
-        plan.workloads = workloads;
-        plan.auditParameterSpace = true;
-        plan.instructionsPerRun = options.instructionsPerRun;
-        plan.warmupInstructions = options.warmupInstructions;
-        plan.sampling = campaign.sampling;
-        plan.replication = campaign.replication;
-        plan.remote = detail::remotePlanFor(campaign);
-        check::preflightOrThrow(plan, "runPbExperiment");
-    }
+    check::ExperimentPlan &preflight = plan.preflight.emplace();
+    preflight.design = &result.design;
+    preflight.expectedFactors = numFactors;
+    preflight.designIsFolded = campaign.foldover;
+    preflight.workloads = workloads;
+    preflight.auditParameterSpace = true;
+    preflight.sampling = campaign.sampling;
+
+    plan.batchPhase = "screen";
+    plan.pool = pool;
+    plan.hookFactory = options.hookFactory;
+    plan.analyze = [&](detail::CellBatch &batch,
+                       obs::SummaryRecord &summary) {
+        result.responses = std::move(batch.responses);
+        result.ciHalfWidths = std::move(batch.ciHalfWidths);
+
+        // Quarantined cells (collect-failures mode) are not
+        // statistically free: arbitrate drop-vs-abort before any
+        // effect is computed, so an incomplete response column never
+        // reaches the rank aggregation.
+        if (!batch.quarantined.empty()) {
+            check::CampaignAssessment assessment =
+                check::assessCampaignValidity(
+                    result.benchmarks, num_runs, campaign.foldover,
+                    batch.quarantined, campaign.degradation);
+            result.validity = assessment.sink;
+            if (!assessment.passed())
+                throw check::CampaignError("runPbExperiment",
+                                           std::move(assessment.sink));
+            result.dropBenchmarks(assessment.dropBenchmarks);
+        }
+
+        // Effects and per-benchmark ranks over the 43 real+dummy
+        // factors (the design has exactly 43 columns for X = 44),
+        // computed only for surviving benchmarks — their columns are
+        // complete.
+        {
+            detail::PhaseScope phase(campaign, "rank");
+            const std::size_t survivors = result.benchmarks.size();
+            result.effects.reserve(survivors);
+            result.ranks.reserve(survivors);
+            for (std::size_t b = 0; b < survivors; ++b) {
+                std::vector<double> all_effects = doe::computeEffects(
+                    result.design, result.responses[b]);
+                all_effects.resize(numFactors);
+                result.ranks.push_back(
+                    doe::rankByMagnitude(all_effects));
+                result.effects.push_back(std::move(all_effects));
+            }
+        }
+
+        {
+            detail::PhaseScope phase(campaign, "aggregate");
+            result.summaries =
+                doe::aggregateRanks(factorNames(), result.effects);
+        }
+        summary.droppedBenchmarks = result.droppedBenchmarks;
+        summary.rankTableDigest = rankTableDigest(result.summaries);
+    };
 
     // One engine job per (benchmark, design row) pair, run through
     // the shared engine (or a private one) — the responses come back
     // in job order, so the result is thread-count independent.
-    const std::vector<exec::SimJob> jobs =
-        pbSimJobs(workloads, result.design, options);
-
     exec::SimulationEngine local_engine(
         exec::EngineOptions{campaign.threads, true});
-    exec::SimulationEngine &engine =
-        campaign.engine ? *campaign.engine : local_engine;
-
-    // Attach the campaign's sinks for the duration of the batch; a
-    // shared engine gets its previous sinks back afterwards even when
-    // the batch throws.
-    detail::EngineSinkScope sinks(
-        engine, campaign,
-        detail::manifestCellObserver(campaign.manifest,
-                                     result.benchmarks, num_runs));
-    // Under process isolation, route each attempt to a sandbox
-    // worker; the engine's current executor (real simulator or an
-    // injector wrapper) runs inside the forked children.
-    detail::IsolationScope isolation(engine, campaign,
-                                     options.hookFactory);
-    const exec::ProgressSnapshot progress_before =
-        engine.progress().snapshot();
-
-    exec::BatchResult batch;
-    try {
-        detail::PhaseScope phase(campaign, "screen");
-        phase.span().arg("jobs", std::to_string(jobs.size()));
-        batch = engine.run(jobs, campaign.faultPolicy);
-    } catch (const exec::BatchAbort &) {
-        // Infrastructure failure (journal I/O error, crash drill):
-        // propagate unwrapped so a campaign driver can recognize it
-        // and resume against the journal.
-        throw;
-    } catch (const std::exception &e) {
-        throw std::runtime_error(
-            std::string("runPbExperiment: simulation failed: ") +
-            e.what());
-    }
-
-    result.responses.assign(num_benches,
-                            std::vector<double>(num_runs, 0.0));
-    for (std::size_t bench = 0; bench < num_benches; ++bench)
-        for (std::size_t run = 0; run < num_runs; ++run)
-            result.responses[bench][run] =
-                batch.responses[bench * num_runs + run];
-
-    // Quarantined cells (collect-failures mode) are not
-    // statistically free: arbitrate drop-vs-abort before any effect
-    // is computed, so an incomplete response column never reaches
-    // the rank aggregation.
-    std::vector<std::string> drop;
-    if (!batch.complete()) {
-        std::vector<check::QuarantinedCell> cells;
-        cells.reserve(batch.failures.size());
-        for (const exec::JobFailure &f : batch.failures) {
-            check::QuarantinedCell cell;
-            cell.benchmark = result.benchmarks[f.jobIndex / num_runs];
-            cell.row = f.jobIndex % num_runs;
-            cell.attempts = f.attempts;
-            cell.kind = exec::toString(f.kind);
-            cell.message = f.message;
-            cells.push_back(std::move(cell));
-        }
-        check::CampaignAssessment assessment =
-            check::assessCampaignValidity(
-                result.benchmarks, num_runs, campaign.foldover, cells,
-                campaign.degradation);
-        result.validity = assessment.sink;
-        if (!assessment.passed())
-            throw check::CampaignError("runPbExperiment",
-                                       std::move(assessment.sink));
-        drop = std::move(assessment.dropBenchmarks);
-    }
-
-    if (!drop.empty()) {
-        result.dropBenchmarks(drop);
-    }
-
-    // Effects and per-benchmark ranks over the 43 real+dummy factors
-    // (the design has exactly 43 columns for X = 44), computed only
-    // for surviving benchmarks — their columns are complete.
-    {
-        detail::PhaseScope phase(campaign, "rank");
-        const std::size_t survivors = result.benchmarks.size();
-        result.effects.clear();
-        result.ranks.clear();
-        result.effects.reserve(survivors);
-        result.ranks.reserve(survivors);
-        for (std::size_t b = 0; b < survivors; ++b) {
-            std::vector<double> all_effects = doe::computeEffects(
-                result.design, result.responses[b]);
-            all_effects.resize(numFactors);
-            result.ranks.push_back(doe::rankByMagnitude(all_effects));
-            result.effects.push_back(std::move(all_effects));
-        }
-    }
-
-    {
-        detail::PhaseScope phase(campaign, "aggregate");
-        const std::vector<std::string> names = factorNames();
-        result.summaries = doe::aggregateRanks(names, result.effects);
-    }
-
-    if (campaign.manifest) {
-        const std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - campaign_start;
-        obs::SummaryRecord summary = detail::summaryFromProgress(
-            progress_before, engine.progress().snapshot(),
-            wall.count());
-        summary.droppedBenchmarks = result.droppedBenchmarks;
-        summary.rankTableDigest = rankTableDigest(result.summaries);
-        campaign.manifest->addSummary(summary);
-    }
+    detail::runCellBatch(campaign.engine ? *campaign.engine
+                                         : local_engine,
+                         campaign, plan);
     return result;
 }
 

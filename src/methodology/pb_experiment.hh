@@ -90,6 +90,12 @@ struct PbExperimentResult
     std::vector<std::string> benchmarks;
     /** Execution cycles: responses[bench][design row]. */
     std::vector<std::vector<double>> responses;
+    /**
+     * Sampling CI half-widths in cycles, same layout as responses;
+     * zero for full-length runs, cache and journal hits, and
+     * quarantined cells.
+     */
+    std::vector<std::vector<double>> ciHalfWidths;
     /** PB effects: effects[bench][factor], 43 factors. */
     std::vector<std::vector<double>> effects;
     /** Per-benchmark significance ranks: ranks[bench][factor]. */
@@ -115,6 +121,14 @@ struct PbExperimentResult
      * per benchmark) for the classification step.
      */
     std::vector<std::vector<double>> rankVectors() const;
+
+    /**
+     * Sampling CI half-width (cycles) of every effect of benchmark
+     * @p bench: an effect is sum(sign_r * response_r), so independent
+     * per-run errors h_r propagate as sqrt(sum h_r^2) whatever the
+     * signs. Zero for full-length runs.
+     */
+    double effectCiHalfWidth(std::size_t bench) const;
 
     /**
      * Remove benchmarks by name and recompute the cross-benchmark

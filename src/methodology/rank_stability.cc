@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,9 +11,9 @@
 
 #include "check/campaign_check.hh"
 #include "doe/ranking.hh"
-#include "methodology/campaign_instrumentation.hh"
 #include "methodology/parameter_space.hh"
 #include "obs/json.hh"
+#include "obs/manifest.hh"
 
 namespace rigor::methodology
 {
@@ -421,51 +420,6 @@ analyzeRankStability(const std::vector<std::vector<std::vector<double>>>
     return report;
 }
 
-namespace
-{
-
-/** One replicate's captured per-run sampling half-widths, reduced to
- *  a per-benchmark RSS through the effect estimate (cycles). */
-using SamplingRssByBench = std::unordered_map<std::string, double>;
-
-/**
- * Run one replicate's screen, capturing sampling CI half-widths. The
- * effect of one benchmark is sum(sign_r * response_r); independent
- * per-run errors h_r propagate as sqrt(sum h_r^2) regardless of the
- * signs (the same composition the adaptive driver uses).
- */
-PbExperimentResult
-runReplicate(std::span<const trace::WorkloadProfile> suite,
-             const PbExperimentOptions &options,
-             exec::SimulationEngine &engine, SamplingRssByBench &rss)
-{
-    std::mutex mutex;
-    std::unordered_map<std::size_t, double> by_job;
-    detail::ObserverScope capture(
-        engine, [&mutex, &by_job](const exec::JobEvent &event) {
-            if (!event.ok || !event.sampled)
-                return;
-            const double cycles_half =
-                event.sample.ciHalfWidth *
-                static_cast<double>(event.sample.streamInstructions);
-            const std::scoped_lock lock(mutex);
-            by_job[event.jobIndex] = cycles_half;
-        });
-
-    PbExperimentResult result = runPbExperiment(suite, options);
-
-    const std::size_t num_runs = result.design.numRows();
-    std::unordered_map<std::size_t, double> sum_sq;
-    for (const auto &[job_index, cycles_half] : by_job)
-        sum_sq[job_index / num_runs] += cycles_half * cycles_half;
-    for (const auto &[bench, total] : sum_sq)
-        if (bench < suite.size())
-            rss[suite[bench].name] = std::sqrt(total);
-    return result;
-}
-
-} // namespace
-
 ReplicatedPbResult
 runReplicatedPbExperiment(
     std::span<const trace::WorkloadProfile> workloads,
@@ -485,10 +439,8 @@ runReplicatedPbExperiment(
     PbExperimentOptions opts = options.base;
     exec::SimulationEngine local_engine(
         exec::EngineOptions{opts.campaign.threads, true});
-    exec::SimulationEngine &engine = opts.campaign.engine
-                                         ? *opts.campaign.engine
-                                         : local_engine;
-    opts.campaign.engine = &engine;
+    if (opts.campaign.engine == nullptr)
+        opts.campaign.engine = &local_engine;
 
     // Replicate r renames every profile ("gzip" -> "gzip#r1"): the
     // trace generator is seeded from the name (FNV-1a), so the copy
@@ -498,7 +450,6 @@ runReplicatedPbExperiment(
     // byte-for-byte the historical single campaign.
     const std::string base_name = opts.experimentName;
     std::vector<PbExperimentResult> runs;
-    std::vector<SamplingRssByBench> rss_by_replicate(num_reps);
     std::vector<std::unordered_map<std::string, std::string>>
         base_of_suffixed(num_reps);
     runs.reserve(num_reps);
@@ -514,8 +465,7 @@ runReplicatedPbExperiment(
         opts.experimentName =
             r == 0 ? base_name
                    : base_name + "/replicate-" + std::to_string(r);
-        runs.push_back(runReplicate(suite, opts, engine,
-                                    rss_by_replicate[r]));
+        runs.push_back(runPbExperiment(suite, opts));
     }
     opts.experimentName = base_name;
 
@@ -554,19 +504,23 @@ runReplicatedPbExperiment(
         out.pooled.benchmarks;
     const std::size_t num_benches = canonical.size();
 
-    // [replicate][benchmark][factor], benchmark order = canonical.
+    // [replicate][benchmark][factor] effects and
+    // [replicate][benchmark] sampling half-widths of those effects,
+    // benchmark order = canonical.
     std::vector<std::vector<std::vector<double>>> effects_tensor(
         num_reps);
-    effects_tensor[0] = out.pooled.effects;
-    for (unsigned r = 1; r < num_reps; ++r) {
+    std::vector<std::vector<double>> sampling_half(num_reps);
+    for (unsigned r = 0; r < num_reps; ++r) {
+        const PbExperimentResult &run = r == 0 ? out.pooled : runs[r];
         std::unordered_map<std::string, std::size_t> index_of;
-        for (std::size_t b = 0; b < runs[r].benchmarks.size(); ++b)
-            index_of.emplace(
-                base_of_suffixed[r].at(runs[r].benchmarks[b]), b);
-        effects_tensor[r].reserve(num_benches);
-        for (const std::string &name : canonical)
-            effects_tensor[r].push_back(
-                runs[r].effects[index_of.at(name)]);
+        for (std::size_t b = 0; b < run.benchmarks.size(); ++b)
+            index_of.emplace(base_of_suffixed[r].at(run.benchmarks[b]),
+                             b);
+        for (const std::string &name : canonical) {
+            const std::size_t b = index_of.at(name);
+            effects_tensor[r].push_back(run.effects[b]);
+            sampling_half[r].push_back(run.effectCiHalfWidth(b));
+        }
     }
 
     const std::vector<std::string> names = factorNames();
@@ -618,15 +572,8 @@ runReplicatedPbExperiment(
                                        replication.bootstrap)
                     .halfWidth();
             double sampling_sq = 0.0;
-            for (unsigned r = 0; r < num_reps; ++r) {
-                std::string suffixed = canonical[b];
-                if (r > 0)
-                    suffixed += "#r" + std::to_string(r);
-                const auto found =
-                    rss_by_replicate[r].find(suffixed);
-                if (found != rss_by_replicate[r].end())
-                    sampling_sq += found->second * found->second;
-            }
+            for (unsigned r = 0; r < num_reps; ++r)
+                sampling_sq += sampling_half[r][b] * sampling_half[r][b];
             c.samplingHalfWidth =
                 std::sqrt(sampling_sq) /
                 static_cast<double>(num_reps);

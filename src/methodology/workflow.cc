@@ -1,15 +1,12 @@
 #include "methodology/workflow.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
-#include "check/preflight.hh"
 #include "doe/ranking.hh"
-#include "exec/journal.hh"
-#include "methodology/campaign_instrumentation.hh"
+#include "methodology/cell_batch.hh"
 #include "obs/json.hh"
 #include "stats/yates.hh"
 
@@ -80,9 +77,7 @@ runRecommendedWorkflow(
             "[1, 12]");
 
     WorkflowResult result;
-    // Mutable copy: under process isolation the workflow injects a
-    // shared sandbox pool below, so both phases reuse the workers.
-    exec::CampaignOptions campaign = options.campaign;
+    const exec::CampaignOptions &campaign = options.campaign;
 
     // One engine for both simulation phases: the screen's pool is
     // reused by the step-3 factorial, and any configuration the
@@ -99,9 +94,7 @@ runRecommendedWorkflow(
     // Under process isolation, fork the sandbox workers once and
     // share them across the screen and the factorial.
     const std::unique_ptr<exec::proc::ProcWorkerPool> shared_pool =
-        detail::makeSharedProcPool(engine, campaign);
-    if (shared_pool != nullptr)
-        campaign.procPool = shared_pool.get();
+        detail::makeProcPool(engine, campaign);
 
     // ----- Step 1: PB screening -----
     PbExperimentOptions screen_opts;
@@ -109,7 +102,8 @@ runRecommendedWorkflow(
     screen_opts.warmupInstructions = options.warmupInstructions;
     screen_opts.campaign = campaign;
     screen_opts.campaign.engine = &engine;
-    result.screening = runPbExperiment(workloads, screen_opts);
+    result.screening =
+        detail::runPbScreen(workloads, screen_opts, shared_pool.get());
 
     // Critical set: up to the largest sum-of-ranks gap, capped, and
     // never including dummy factors (they are the noise floor).
@@ -138,13 +132,29 @@ runRecommendedWorkflow(
     for (Factor f : result.criticalFactors)
         names.push_back(factorName(f));
 
-    // All 2^k x workloads cells go through the shared engine as one
-    // parallel batch; the per-cell responses are then averaged in a
-    // fixed order so the result is thread-count independent.
+    // The factorial is its own campaign in the manifest: k factors,
+    // 2^k rows, no foldover, identified by a digest of the critical
+    // factor set.
     const std::size_t num_cells = std::size_t{1} << k;
-    std::vector<exec::SimJob> jobs;
-    jobs.reserve(num_cells * workloads.size());
-    for (std::uint32_t t = 0; t < (1u << k); ++t) {
+    detail::CellBatchPlan plan;
+    plan.caller = "runRecommendedWorkflow (step 3)";
+    plan.info.experiment = "workflow_factorial";
+    plan.info.factors = k;
+    plan.info.rows = num_cells;
+    std::string serialized = "factorial:";
+    for (const std::string &name : names)
+        serialized += name + ";";
+    plan.info.designDigest = obs::digestHex(obs::fnv1a(serialized));
+    for (const trace::WorkloadProfile &w : workloads)
+        plan.info.workloads.push_back(w.name);
+    plan.info.instructionsPerRun = options.instructionsPerRun;
+    plan.info.warmupInstructions = options.warmupInstructions;
+
+    // All 2^k x workloads cells go through the shared engine as one
+    // parallel batch, cell-major (all workloads of cell t adjacent).
+    plan.jobs.reserve(num_cells * workloads.size());
+    plan.cells.reserve(num_cells * workloads.size());
+    for (std::size_t t = 0; t < num_cells; ++t) {
         std::vector<std::pair<Factor, doe::Level>> overrides;
         overrides.reserve(k);
         for (std::size_t i = 0; i < k; ++i)
@@ -153,161 +163,68 @@ runRecommendedWorkflow(
                                                 : doe::Level::Low);
         const sim::ProcessorConfig config =
             configWithOverrides(overrides);
-        for (const trace::WorkloadProfile &w : workloads) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
             exec::SimJob job;
-            job.workload = &w;
+            job.workload = &workloads[w];
             job.config = config;
             job.instructions = options.instructionsPerRun;
             job.warmupInstructions = options.warmupInstructions;
-            job.label =
-                w.name + ", factorial cell " + std::to_string(t);
-            jobs.push_back(std::move(job));
+            job.label = workloads[w].name + ", factorial cell " +
+                        std::to_string(t);
+            plan.jobs.push_back(std::move(job));
+            plan.cells.push_back({w, t});
         }
     }
+
     // Step-3 pre-flight: every factorial cell's configuration must
     // satisfy the Tables 6-8 invariants before the batch runs (the
     // screen already vetted the workloads and run lengths).
-    if (!campaign.skipPreflight) {
-        detail::PhaseScope phase(campaign, "factorial_preflight");
-        check::ExperimentPlan plan;
-        plan.configs.reserve(jobs.size());
-        for (const exec::SimJob &job : jobs)
-            plan.configs.push_back(&job.config);
-        plan.instructionsPerRun = options.instructionsPerRun;
-        plan.warmupInstructions = options.warmupInstructions;
-        plan.workloads = workloads;
-        plan.replication = options.campaign.replication;
-        plan.remote = detail::remotePlanFor(options.campaign);
-        check::preflightOrThrow(plan,
-                                "runRecommendedWorkflow (step 3)");
-    }
+    check::ExperimentPlan &preflight = plan.preflight.emplace();
+    preflight.configs.reserve(plan.jobs.size());
+    for (const exec::SimJob &job : plan.jobs)
+        preflight.configs.push_back(&job.config);
+    preflight.workloads = workloads;
+    plan.preflightPhase = "factorial_preflight";
+    plan.batchPhase = "factorial";
+    plan.pool = shared_pool.get();
 
-    std::vector<std::string> factorial_workloads;
-    factorial_workloads.reserve(workloads.size());
-    for (const trace::WorkloadProfile &w : workloads)
-        factorial_workloads.push_back(w.name);
-
-    // The factorial is its own campaign in the manifest: k factors,
-    // 2^k rows, no foldover, identified by a digest of the critical
-    // factor set.
-    if (campaign.manifest) {
-        obs::CampaignInfo info;
-        info.experiment = "workflow_factorial";
-        info.factors = k;
-        info.rows = num_cells;
-        info.foldover = false;
-        std::string serialized = "factorial:";
-        for (const std::string &name : names)
-            serialized += name + ";";
-        info.designDigest =
-            obs::digestHex(obs::fnv1a(serialized));
-        info.workloads = factorial_workloads;
-        info.instructionsPerRun = options.instructionsPerRun;
-        info.warmupInstructions = options.warmupInstructions;
-        campaign.manifest->beginCampaign(info);
-    }
-
-    // Factorial jobs are cell-major (all workloads of cell t are
-    // adjacent), so the manifest mapping is the transpose of the
-    // screen's benchmark-major one.
-    exec::JobObserver factorial_observer;
-    if (campaign.manifest) {
-        const std::size_t num_workloads = workloads.size();
-        factorial_observer = [manifest = campaign.manifest,
-                              factorial_workloads,
-                              num_workloads](
-                                 const exec::JobEvent &event) {
-            obs::CellRecord cell;
-            cell.benchmark =
-                factorial_workloads[event.jobIndex % num_workloads];
-            cell.row = event.jobIndex / num_workloads;
-            cell.runKey = event.runKey;
-            cell.source =
-                event.ok ? exec::toString(event.source) : "failed";
-            cell.attempts = event.attempts;
-            cell.wallSeconds = event.wallSeconds;
-            cell.response = event.response;
-            cell.host = event.host;
-            manifest->addCell(cell);
-        };
-    }
-
-    const auto factorial_start = std::chrono::steady_clock::now();
-    const exec::ProgressSnapshot factorial_before =
-        engine.progress().snapshot();
-
-    exec::BatchResult cell_batch;
-    try {
-        detail::EngineSinkScope sinks(engine, campaign,
-                                      std::move(factorial_observer));
-        detail::IsolationScope isolation(engine, campaign);
-        detail::PhaseScope phase(campaign, "factorial");
-        phase.span().arg("cells", std::to_string(num_cells));
-        phase.span().arg("jobs", std::to_string(jobs.size()));
-        cell_batch = engine.run(jobs, campaign.faultPolicy);
-    } catch (const exec::BatchAbort &) {
-        throw; // resume-able infrastructure failure: keep the type
-    }
-    const std::vector<double> &cells = cell_batch.responses;
-
-    // Quarantined factorial cells: a workload missing from one cell
-    // would skew that cell's average against its neighbors, so the
-    // whole workload is dropped from every cell (or the workflow
-    // aborts), arbitrated through the campaign analyzer.
-    std::set<std::size_t> dropped_w;
-    if (!cell_batch.complete()) {
-        std::vector<std::string> workload_names;
-        workload_names.reserve(workloads.size());
-        for (const trace::WorkloadProfile &w : workloads)
-            workload_names.push_back(w.name);
-        std::vector<check::QuarantinedCell> quarantined;
-        quarantined.reserve(cell_batch.failures.size());
-        for (const exec::JobFailure &f : cell_batch.failures) {
-            check::QuarantinedCell cell;
-            cell.benchmark =
-                workload_names[f.jobIndex % workloads.size()];
-            cell.row = f.jobIndex / workloads.size();
-            cell.attempts = f.attempts;
-            cell.kind = exec::toString(f.kind);
-            cell.message = f.message;
-            quarantined.push_back(std::move(cell));
+    // The per-cell responses are averaged over workloads in a fixed
+    // order, so the result is thread-count independent.
+    plan.analyze = [&](detail::CellBatch &batch,
+                       obs::SummaryRecord &summary) {
+        // Quarantined factorial cells: a workload missing from one
+        // cell would skew that cell's average against its neighbors,
+        // so the whole workload is dropped from every cell (or the
+        // workflow aborts), arbitrated through the campaign analyzer.
+        std::set<std::string> dropped;
+        if (!batch.quarantined.empty()) {
+            check::CampaignAssessment assessment =
+                check::assessFactorialValidity(
+                    plan.info.workloads, num_cells, batch.quarantined,
+                    campaign.degradation);
+            result.factorialValidity = assessment.sink;
+            if (!assessment.passed())
+                throw check::CampaignError(plan.caller,
+                                           std::move(assessment.sink));
+            result.factorialDroppedWorkloads =
+                std::move(assessment.dropBenchmarks);
+            dropped.insert(result.factorialDroppedWorkloads.begin(),
+                           result.factorialDroppedWorkloads.end());
         }
-        check::CampaignAssessment assessment =
-            check::assessFactorialValidity(workload_names, num_cells,
-                                           quarantined,
-                                           campaign.degradation);
-        result.factorialValidity = assessment.sink;
-        if (!assessment.passed())
-            throw check::CampaignError(
-                "runRecommendedWorkflow (step 3)",
-                std::move(assessment.sink));
-        result.factorialDroppedWorkloads =
-            std::move(assessment.dropBenchmarks);
-        for (std::size_t w = 0; w < workload_names.size(); ++w)
-            for (const std::string &name :
-                 result.factorialDroppedWorkloads)
-                if (workload_names[w] == name)
-                    dropped_w.insert(w);
-    }
-    const std::size_t surviving =
-        workloads.size() - dropped_w.size();
+        summary.droppedBenchmarks = result.factorialDroppedWorkloads;
 
-    {
         detail::PhaseScope phase(campaign, "anova");
-        std::vector<double> responses;
-        responses.reserve(num_cells);
+        std::vector<double> responses(num_cells, 0.0);
         for (std::size_t t = 0; t < num_cells; ++t) {
-            double total = 0.0;
-            for (std::size_t w = 0; w < workloads.size(); ++w) {
-                if (dropped_w.count(w))
-                    continue;
-                total += cells[t * workloads.size() + w];
-            }
-            responses.push_back(total /
-                                static_cast<double>(surviving));
+            for (std::size_t w = 0; w < workloads.size(); ++w)
+                if (!dropped.count(workloads[w].name))
+                    responses[t] += batch.responses[w][t];
+            responses[t] /= static_cast<double>(workloads.size() -
+                                                dropped.size());
         }
         result.sensitivity = stats::analyzeFactorial(names, responses);
-    }
+    };
+    detail::runCellBatch(engine, campaign, plan);
 
     // ----- Step 4: directions from the main effects -----
     for (std::size_t i = 0; i < k; ++i) {
@@ -339,15 +256,6 @@ runRecommendedWorkflow(
         }
     }
     result.execution = engine.progress().snapshot();
-
-    if (campaign.manifest) {
-        const std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - factorial_start;
-        obs::SummaryRecord summary = detail::summaryFromProgress(
-            factorial_before, result.execution, wall.count());
-        summary.droppedBenchmarks = result.factorialDroppedWorkloads;
-        campaign.manifest->addSummary(summary);
-    }
     return result;
 }
 

@@ -135,6 +135,41 @@ TEST(PbExperiment, FailureNamesBenchmarkAndDesignRow)
     }
 }
 
+TEST(PbExperiment, CiHalfWidthsFollowTheResponses)
+{
+    // Full-length runs carry no sampling CI.
+    const methodology::PbExperimentResult full =
+        methodology::runPbExperiment(twoWorkloads(), fastOptions());
+    ASSERT_EQ(full.ciHalfWidths.size(), full.responses.size());
+    EXPECT_EQ(full.ciHalfWidths[0],
+              std::vector<double>(full.design.numRows(), 0.0));
+    EXPECT_EQ(full.effectCiHalfWidth(1), 0.0);
+
+    // A sampled screen reports one half-width (cycles) per cell, and
+    // dropping a benchmark keeps them aligned with the survivors.
+    methodology::PbExperimentOptions opts = fastOptions();
+    opts.instructionsPerRun = 20000;
+    opts.campaign.skipPreflight = true;
+    opts.campaign.sampling.enabled = true;
+    opts.campaign.sampling.unitInstructions = 250;
+    opts.campaign.sampling.warmupInstructions = 250;
+    opts.campaign.sampling.intervalInstructions = 2500;
+    methodology::PbExperimentResult sampled =
+        methodology::runPbExperiment(twoWorkloads(), opts);
+    ASSERT_EQ(sampled.ciHalfWidths.size(), 2u);
+    for (const std::vector<double> &row_halves : sampled.ciHalfWidths) {
+        ASSERT_EQ(row_halves.size(), sampled.design.numRows());
+        for (const double h : row_halves)
+            EXPECT_GT(h, 0.0);
+    }
+    const std::vector<double> mcf = sampled.ciHalfWidths[1];
+    const double mcf_effect_half = sampled.effectCiHalfWidth(1);
+    sampled.dropBenchmarks(std::vector<std::string>{"gzip"});
+    ASSERT_EQ(sampled.ciHalfWidths.size(), 1u);
+    EXPECT_EQ(sampled.ciHalfWidths[0], mcf);
+    EXPECT_EQ(sampled.effectCiHalfWidth(0), mcf_effect_half);
+}
+
 TEST(PbExperiment, RankVectorsMatchRanks)
 {
     const auto workloads = twoWorkloads();

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "check/rule_ids.hh"
 #include "cli_options.hh"
 
 namespace exec = rigor::exec;
@@ -185,4 +186,84 @@ TEST(CampaignCliOptions, RejectsDegenerateReplicationValues)
               Match::Error);
     EXPECT_EQ(parse(options, {"--bootstrap-seed", "nope"}),
               Match::Error);
+}
+
+// ----- Parse-time remote pre-flight -----
+
+namespace
+{
+
+/** Rule ids of a sink's diagnostics, in report order. */
+std::vector<std::string>
+ruleIds(const rigor::check::DiagnosticSink &sink)
+{
+    std::vector<std::string> ids;
+    for (const rigor::check::Diagnostic &d : sink.diagnostics())
+        ids.push_back(d.ruleId);
+    return ids;
+}
+
+/** A remote campaign with a three-worker fleet and the given lease
+ *  and heartbeat flags. */
+tools::CampaignCliOptions
+remoteFleet(const std::string &lease_ms, const std::string &heartbeat_ms)
+{
+    tools::CampaignCliOptions options;
+    EXPECT_EQ(parse(options, {"--listen", "127.0.0.1:0"}),
+              Match::Consumed);
+    EXPECT_EQ(parse(options, {"--workers", "3"}), Match::Consumed);
+    EXPECT_EQ(parse(options, {"--lease-ms", lease_ms}), Match::Consumed);
+    EXPECT_EQ(parse(options, {"--heartbeat-ms", heartbeat_ms}),
+              Match::Consumed);
+    return options;
+}
+
+} // namespace
+
+TEST(CampaignCliOptions, RemotePreflightAcceptsTheDefaultTopology)
+{
+    EXPECT_TRUE(remoteFleet("10000", "1000").remotePreflight().passed());
+    // Thread isolation has no topology to check.
+    EXPECT_TRUE(tools::CampaignCliOptions{}.remotePreflight().passed());
+}
+
+TEST(CampaignCliOptions, RemotePreflightDoesNotWrapAHugeHeartbeat)
+{
+    // 2^31 ms doubled wraps to 0 in 32-bit arithmetic, which would
+    // pass a heartbeat of half the lease window.
+    const rigor::check::DiagnosticSink sink =
+        remoteFleet("4294967295", "2147483648").remotePreflight();
+    EXPECT_EQ(ruleIds(sink),
+              (std::vector<std::string>{
+                  rigor::check::rules::kCampaignHeartbeatTooCoarse}));
+}
+
+TEST(CampaignCliOptions, RemotePreflightNamesLeaseNotExceedingHeartbeat)
+{
+    const rigor::check::DiagnosticSink sink =
+        remoteFleet("1000", "1000").remotePreflight();
+    EXPECT_EQ(ruleIds(sink),
+              (std::vector<std::string>{
+                  rigor::check::rules::kCampaignLeaseShorterThanDeadline}));
+}
+
+TEST(CampaignCliOptions, RemotePreflightCatchesAnEmptyFleetAndDeadline)
+{
+    tools::CampaignCliOptions options;
+    EXPECT_EQ(parse(options, {"--listen", "127.0.0.1:0"}),
+              Match::Consumed);
+    EXPECT_EQ(parse(options, {"--deadline-ms", "20000"}),
+              Match::Consumed);
+    EXPECT_EQ(ruleIds(options.remotePreflight()),
+              (std::vector<std::string>{
+                  rigor::check::rules::kCampaignNoWorkers,
+                  rigor::check::rules::kCampaignLeaseShorterThanDeadline}));
+}
+
+TEST(CampaignCliOptions, SkipPreflightSkipsTheRemotePreflight)
+{
+    tools::CampaignCliOptions options = remoteFleet("1000", "2147483648");
+    EXPECT_FALSE(options.remotePreflight().passed());
+    EXPECT_EQ(parse(options, {"--skip-preflight"}), Match::Consumed);
+    EXPECT_TRUE(options.remotePreflight().diagnostics().empty());
 }

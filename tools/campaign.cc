@@ -277,17 +277,12 @@ main(int argc, char **argv)
     CliOptions cli;
     if (!parseArgs(argc, argv, cli))
         return usage(argv[0]);
-    if (cli.campaign.isolation == rigor::exec::IsolationMode::Remote &&
-        cli.campaign.heartbeatMs * 2 >= cli.campaign.leaseMs) {
-        // Mirrors the pre-flight rule campaign.heartbeat-too-coarse:
-        // a heartbeat at (or past) half the lease leaves at most one
-        // beacon of margin, so one delayed packet reclaims a healthy
-        // worker's leases.
-        std::fprintf(stderr,
-                     "campaign: --heartbeat-ms %u is too coarse for "
-                     "--lease-ms %u (the heartbeat must be under "
-                     "half the lease)\n",
-                     cli.campaign.heartbeatMs, cli.campaign.leaseMs);
+    // A fleet the remote pre-flight would reject is refused before
+    // the controller waits for it.
+    const rigor::check::DiagnosticSink topology =
+        cli.campaign.remotePreflight();
+    if (!topology.passed()) {
+        std::fprintf(stderr, "%s", topology.toString().c_str());
         return 2;
     }
 
@@ -353,6 +348,14 @@ main(int argc, char **argv)
         rigor::obs::MetricsRegistry metrics;
         rigor::obs::TraceWriter trace;
         rigor::obs::CampaignManifest manifest;
+        const auto write_sinks = [&] {
+            if (!cli.campaign.metricsOut.empty())
+                metrics.writeTo(cli.campaign.metricsOut);
+            if (!cli.campaign.traceOut.empty())
+                trace.writeTo(cli.campaign.traceOut);
+            if (!cli.campaign.manifestOut.empty())
+                manifest.writeTo(cli.campaign.manifestOut);
+        };
 
         // Remote isolation: bring up the lease-granting controller
         // and wait for the fleet before any cell is queued. Declared
@@ -599,12 +602,7 @@ main(int argc, char **argv)
             // A SIGTERM drain deliberately fails the cells it could
             // not finish; everything that did complete is already in
             // the journal, so the same command resumes the remainder.
-            if (!cli.campaign.metricsOut.empty())
-                metrics.writeTo(cli.campaign.metricsOut);
-            if (!cli.campaign.traceOut.empty())
-                trace.writeTo(cli.campaign.traceOut);
-            if (!cli.campaign.manifestOut.empty())
-                manifest.writeTo(cli.campaign.manifestOut);
+            write_sinks();
             std::fprintf(stderr,
                          "campaign: drained: %s\n"
                          "campaign: rerun with the same --journal to "
@@ -630,12 +628,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "campaign: %s\n",
                      progress.toString().c_str());
 
-        if (!cli.campaign.metricsOut.empty())
-            metrics.writeTo(cli.campaign.metricsOut);
-        if (!cli.campaign.traceOut.empty())
-            trace.writeTo(cli.campaign.traceOut);
-        if (!cli.campaign.manifestOut.empty())
-            manifest.writeTo(cli.campaign.manifestOut);
+        write_sinks();
         if (!cli.campaign.benchOut.empty()) {
             rigor::obs::BenchReport report;
             report.name = "campaign_pb_screen";

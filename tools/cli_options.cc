@@ -523,6 +523,18 @@ CampaignCliOptions::apply(exec::CampaignOptions &campaign) const
     campaign.replication.bootstrap.seed = bootstrapSeed;
 }
 
+check::DiagnosticSink
+CampaignCliOptions::remotePreflight() const
+{
+    check::DiagnosticSink sink;
+    if (skipPreflight)
+        return sink;
+    exec::CampaignOptions campaign;
+    apply(campaign);
+    check::checkRemotePlan(exec::remotePlanFor(campaign), sink);
+    return sink;
+}
+
 const char *
 CampaignCliOptions::usageText()
 {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "check/diagnostic.hh"
 #include "exec/campaign_options.hh"
 #include "exec/fault_injection.hh"
 
@@ -187,6 +188,14 @@ struct CampaignCliOptions
      * journal are attached by the caller.
      */
     void apply(exec::CampaignOptions &campaign) const;
+
+    /**
+     * The remote-topology pre-flight rules (check::checkRemotePlan on
+     * exec::remotePlanFor) over the campaign the flags describe, for
+     * a controller to run before it waits for its fleet. Empty under
+     * --skip-preflight, like the campaign's own pre-flight.
+     */
+    check::DiagnosticSink remotePreflight() const;
 
     /** Help text for the shared flags (aligned to the tools' style). */
     static const char *usageText();
