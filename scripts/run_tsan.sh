@@ -16,7 +16,8 @@ cmake --build --preset tsan -j "$(nproc)"
 # simulate and _Exit; they never touch the parent's locks).
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 die_after_fork=0"
 
-# Every suite under tests/doe, tests/methodology, and tests/exec —
+# Every suite under tests/doe, tests/methodology, and tests/exec, plus
+# the sampled screen (its job observer runs on the engine's workers) —
 # run straight from the gtest binary so one process exercises the
 # shared-engine paths end to end.
 ./build-tsan/tests/rigor_tests --gtest_filter="$(tr -d ' \n' <<'EOF'
@@ -31,7 +32,8 @@ FaultInjector.*:ResultJournal.*:CampaignCheck.*:CampaignResume.*:
 CampaignDegradation.*:
 ProcProtocol.*:ProcWorkerPool.*:ProcCampaign.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
-CampaignOptions.*:CellBatchMapping.*:Isolation/SharedEngineRestore.*
+CampaignOptions.*:CellBatchMapping.*:Isolation/SharedEngineRestore.*:
+SampledScreen.*
 EOF
 )"
 

@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "check/campaign_check.hh"
 #include "exec/fault_policy.hh"
@@ -126,38 +125,11 @@ struct CampaignOptions
      * cells across the TCP worker fleet (not owned; must outlive the
      * call). Required when isolation is Remote — the drivers swap the
      * engine's simulate function for controller->simulateFn() exactly
-     * as they swap in a sandbox pool under Process isolation.
+     * as they swap in a sandbox pool under Process isolation. The
+     * lease, heartbeat, session grace, and auth token the campaign
+     * runs with are the controller's own (ControllerOptions).
      */
     net::CampaignController *netController = nullptr;
-    /**
-     * Remote isolation: how long one handed-out cell may go without
-     * its worker heartbeating before the lease is reclaimed and the
-     * cell requeued elsewhere. Must comfortably exceed both the
-     * heartbeat interval and any per-attempt deadline, or healthy
-     * long-running cells get reclaimed spuriously — the pre-flight
-     * rule campaign.lease-shorter-than-deadline enforces this.
-     */
-    std::chrono::milliseconds leaseDuration{10000};
-    /** Remote isolation: expected worker heartbeat cadence
-     *  (advertised to workers in the handshake). Must stay well
-     *  under half of leaseDuration or transient silence reclaims
-     *  healthy workers — the pre-flight rule
-     *  campaign.heartbeat-too-coarse enforces this.  */
-    std::chrono::milliseconds heartbeatInterval{1000};
-    /**
-     * Remote isolation: how long a disconnected worker's session
-     * (and its leases) is parked awaiting a reconnect before its
-     * cells fall back to reclaim/requeue. Zero disables parking —
-     * every broken connection reclaims immediately.
-     */
-    std::chrono::milliseconds sessionGrace{0};
-    /**
-     * Remote isolation: shared fleet token. Non-empty makes the
-     * controller demand an HMAC-SHA256 challenge-response in every
-     * worker handshake before any lease is granted; empty disables
-     * authentication (trusted-network deployments only).
-     */
-    std::string remoteAuthToken;
     /**
      * Remote isolation: worker count the campaign expects to be
      * served by (pre-flight rule campaign.no-workers rejects 0 — a
@@ -196,32 +168,6 @@ struct CampaignOptions
      *  one record per (benchmark, row) cell, terminal summary. */
     obs::CampaignManifest *manifest = nullptr;
 };
-
-/**
- * Reduce a remote campaign's topology to the plain-integer RemotePlan
- * the check layer pre-flights (campaign.no-workers,
- * campaign.lease-shorter-than-deadline,
- * campaign.heartbeat-too-coarse). Disabled — and therefore skipped by
- * every analyzer — unless the campaign runs under
- * IsolationMode::Remote.
- */
-inline check::RemotePlan
-remotePlanFor(const CampaignOptions &campaign)
-{
-    check::RemotePlan plan;
-    if (campaign.isolation != IsolationMode::Remote)
-        return plan;
-    plan.enabled = true;
-    plan.workers = campaign.remoteWorkers;
-    plan.leaseMs = static_cast<std::uint64_t>(campaign.leaseDuration.count());
-    plan.heartbeatMs =
-        static_cast<std::uint64_t>(campaign.heartbeatInterval.count());
-    plan.attemptDeadlineMs = static_cast<std::uint64_t>(
-        campaign.faultPolicy.attemptDeadline.count());
-    plan.hardDeadlineMs =
-        static_cast<std::uint64_t>(campaign.hardDeadline.count());
-    return plan;
-}
 
 } // namespace rigor::exec
 

@@ -87,6 +87,25 @@ struct CampaignController::Lease
     std::shared_ptr<Worker> worker;
 };
 
+check::RemotePlan
+remotePlanFor(const CampaignOptions &campaign,
+              const ControllerOptions &controller)
+{
+    check::RemotePlan plan;
+    if (campaign.isolation != IsolationMode::Remote)
+        return plan;
+    plan.enabled = true;
+    plan.workers = campaign.remoteWorkers;
+    plan.leaseMs = static_cast<std::uint64_t>(controller.lease.count());
+    plan.heartbeatMs =
+        static_cast<std::uint64_t>(controller.heartbeat.count());
+    plan.attemptDeadlineMs = static_cast<std::uint64_t>(
+        campaign.faultPolicy.attemptDeadline.count());
+    plan.hardDeadlineMs =
+        static_cast<std::uint64_t>(campaign.hardDeadline.count());
+    return plan;
+}
+
 CampaignController::CampaignController(const ControllerOptions &options)
     : _options(options)
 {

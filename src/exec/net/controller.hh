@@ -71,6 +71,8 @@
 #include <thread>
 #include <vector>
 
+#include "check/campaign_check.hh"
+#include "exec/campaign_options.hh"
 #include "exec/engine.hh"
 #include "exec/net/socket.hh"
 #include "exec/proc/protocol.hh"
@@ -114,6 +116,18 @@ struct ControllerOptions
      */
     std::string authToken;
 };
+
+/**
+ * Reduce a remote campaign's topology to the plain-integer RemotePlan
+ * the check layer pre-flights (campaign.no-workers,
+ * campaign.lease-shorter-than-deadline,
+ * campaign.heartbeat-too-coarse): the fleet size and deadlines from
+ * @p campaign, the lease and heartbeat from the @p controller options
+ * the campaign runs with. Disabled — and therefore skipped by every
+ * analyzer — unless the campaign runs under IsolationMode::Remote.
+ */
+check::RemotePlan remotePlanFor(const CampaignOptions &campaign,
+                                const ControllerOptions &controller);
 
 /** Fleet/lease lifecycle event, delivered to the lease observer from
  *  controller threads (observers must be thread-safe). */
@@ -183,6 +197,9 @@ class CampaignController
 
     CampaignController(const CampaignController &) = delete;
     CampaignController &operator=(const CampaignController &) = delete;
+
+    /** The options the controller runs with. */
+    const ControllerOptions &options() const { return _options; }
 
     /** The port actually bound (resolves port 0). */
     std::uint16_t port() const { return _port; }

@@ -101,6 +101,13 @@ runCellBatch(exec::SimulationEngine &engine,
              const exec::CampaignOptions &campaign,
              const CellBatchPlan &plan)
 {
+    const bool remote = campaign.isolation == exec::IsolationMode::Remote;
+    if (remote && campaign.netController == nullptr)
+        throw std::logic_error(
+            "IsolationMode::Remote requires "
+            "CampaignOptions::netController (build a "
+            "CampaignController and point the campaign at it)");
+
     const auto start = std::chrono::steady_clock::now();
     obs::CampaignManifest *const manifest = campaign.manifest;
     if (manifest)
@@ -112,7 +119,9 @@ runCellBatch(exec::SimulationEngine &engine,
         preflight.instructionsPerRun = plan.info.instructionsPerRun;
         preflight.warmupInstructions = plan.info.warmupInstructions;
         preflight.replication = campaign.replication;
-        preflight.remote = exec::remotePlanFor(campaign);
+        if (remote)
+            preflight.remote = exec::net::remotePlanFor(
+                campaign, campaign.netController->options());
         check::preflightOrThrow(preflight, plan.caller.c_str());
     }
 
@@ -176,12 +185,7 @@ runCellBatch(exec::SimulationEngine &engine,
         // worker, where the engine's current executor (real simulator
         // or an injector wrapper) runs; under remote isolation, to the
         // controller's fleet.
-        if (campaign.isolation == exec::IsolationMode::Remote) {
-            if (campaign.netController == nullptr)
-                throw std::logic_error(
-                    "IsolationMode::Remote requires "
-                    "CampaignOptions::netController (build a "
-                    "CampaignController and point the campaign at it)");
+        if (remote) {
             restore.swapSimulate(campaign.netController->simulateFn());
         } else if (campaign.isolation == exec::IsolationMode::Process) {
             exec::proc::ProcWorkerPool *pool = plan.pool;

@@ -685,8 +685,11 @@ TEST(NetDrain, WorkerDrainFlagAnnouncesFinishesAndEndsDrained)
     worker.join();
     EXPECT_EQ(session.end, net::SessionEnd::Drained);
     EXPECT_EQ(session.jobsServed, 1u);
-    EXPECT_TRUE(
-        events.sawKind(net::LeaseEvent::Kind::WorkerDraining));
+    // The controller reads the Drain frame on its own connection
+    // thread, which may still be behind the worker's exit.
+    EXPECT_TRUE(waitUntil([&] {
+        return events.sawKind(net::LeaseEvent::Kind::WorkerDraining);
+    }));
     EXPECT_TRUE(waitUntil(
         [&] { return controller->connectedWorkers() == 0; }));
     // A drained worker's exit is deliberate: nothing to reclaim.

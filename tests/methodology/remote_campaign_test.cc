@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "check/preflight.hh"
+#include "check/rule_ids.hh"
 #include "exec/engine.hh"
 #include "exec/journal.hh"
 #include "exec/net/controller.hh"
@@ -239,4 +240,37 @@ TEST(RemoteCampaign, PreflightRejectsARemotePlanWithNoWorkers)
         remoteOptions(controller, 0);
     EXPECT_THROW(methodology::runPbExperiment(workloads, opts),
                  rigor::check::PreflightError);
+}
+
+TEST(RemoteCampaign, PreflightChecksTheLeaseTheControllerRunsWith)
+{
+    // The lease-shorter-than-deadline rule must see the controller's
+    // 300 ms lease, not a default: a 1 s attempt deadline would have
+    // healthy cells reclaimed mid-attempt.
+    const auto workloads = twoWorkloads();
+    net::ControllerOptions options;
+    options.lease = std::chrono::milliseconds(300);
+    options.heartbeat = std::chrono::milliseconds(50);
+    auto controller = std::make_unique<net::CampaignController>(options);
+    Fleet fleet;
+    fleet.start(controller->port(), "w1");
+    fleet.start(controller->port(), "w2");
+    ASSERT_TRUE(controller->waitForWorkers(
+        2, std::chrono::milliseconds(10000)));
+
+    methodology::PbExperimentOptions opts = remoteOptions(*controller, 2);
+    opts.campaign.faultPolicy.attemptDeadline =
+        std::chrono::milliseconds(1000);
+    try {
+        methodology::runPbExperiment(workloads, opts);
+        ADD_FAILURE() << "expected PreflightError";
+    } catch (const rigor::check::PreflightError &e) {
+        EXPECT_TRUE(e.sink().hasRule(
+            rigor::check::rules::kCampaignLeaseShorterThanDeadline))
+            << e.what();
+    }
+    EXPECT_EQ(controller->leasesGranted(), 0u);
+
+    controller.reset();
+    fleet.join();
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -51,13 +52,17 @@ runScreen(const std::vector<trace::WorkloadProfile> &workloads,
         options.campaign.sampling.targetRelativeError = 0.3;
     }
 
+    // The engine's workers deliver job events concurrently; the
+    // mutex guards the observer's tallies in run.
+    ScreenRun run;
+    std::mutex observed;
     exec::SimulationEngine engine(exec::EngineOptions{0, false});
     options.campaign.engine = &engine;
 
-    ScreenRun run;
-    engine.setJobObserver([&run](const exec::JobEvent &event) {
+    engine.setJobObserver([&run, &observed](const exec::JobEvent &event) {
         if (!event.sampled)
             return;
+        const std::lock_guard<std::mutex> lock(observed);
         ++run.sampledEvents;
         run.maxRelativeError = std::max(
             run.maxRelativeError, event.sample.relativeError);

@@ -46,6 +46,7 @@
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -70,9 +71,7 @@
 namespace
 {
 
-using rigor::exec::FaultKind;
-using rigor::tools::ArgCursor;
-using rigor::tools::CampaignCliOptions;
+namespace tools = rigor::tools;
 
 /** Set by the SIGTERM handler; watched by the drain thread. */
 std::atomic<bool> g_drainRequested{false};
@@ -83,34 +82,22 @@ requestDrain(int)
     g_drainRequested.store(true);
 }
 
+/** Everything campaign's flag table binds into. */
 struct CliOptions
 {
+    rigor::methodology::PbExperimentOptions pb;
+    rigor::exec::net::ControllerOptions controller;
+    tools::CampaignPaths paths;
+    /** The fault-injection plan (empty = the real simulator). */
+    rigor::exec::FaultInjector injector;
     std::vector<std::string> workloads;
-    std::uint64_t instructions = 20000;
-    std::uint64_t warmup = 0;
     /** With --sample: refine statistically ambiguous cells for up
      *  to N total rounds (0 = single-pass screen). */
     unsigned adaptiveRounds = 0;
-    CampaignCliOptions campaign;
-    std::size_t crashAfter = 0; // 0 = no crash drill
-    bool haveCrashAfter = false;
-    struct IndexFault
-    {
-        std::size_t job;
-        unsigned attempt;
-        FaultKind kind;
-    };
-    struct LabelFault
-    {
-        std::string substring;
-        unsigned attempt;
-        FaultKind kind;
-    };
-    std::vector<IndexFault> inject;
-    std::vector<LabelFault> injectLabel;
-    double randomRate = 0.0;
-    std::uint64_t randomSeed = 0;
-    bool haveRandom = false;
+    /** Crash drill: die after this many journal appends. */
+    std::optional<std::size_t> crashAfter;
+    /** Seeded transient storm: (rate, seed). */
+    std::optional<std::pair<double, std::uint64_t>> randomStorm;
     bool quiet = false;
     /** Remote: write the bound controller port here (CI rendezvous
      *  with kernel-assigned ports). */
@@ -119,155 +106,95 @@ struct CliOptions
     unsigned workerWaitMs = 30000;
 };
 
-int
-usage(const char *argv0)
+/** The run-length rows, the shared campaign rows, then the drills
+ *  and remote rendezvous. */
+tools::FlagTable
+campaignTable(CliOptions &cli)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "\n"
-        "Run the 43-factor Plackett-Burman screening campaign with\n"
-        "fault tolerance, crash-safe journaling, fault drills, and\n"
-        "observability sinks (metrics, Perfetto trace, manifest).\n"
-        "\n"
-        "options:\n"
-        "  --workloads a,b,c      benchmarks to run (default: all 13)\n"
-        "  --instructions N       measured instructions per run\n"
-        "  --warmup N             warm-up instructions per run\n"
-        "%s"
-        "  --adaptive-rounds N    with --sample: re-run benchmarks\n"
-        "                         whose top-factor effects are inside\n"
-        "                         their CI with a denser schedule, up\n"
-        "                         to N total rounds\n"
-        "  --crash-after N        crash drill: die after N appends\n"
-        "  --inject J:A:KIND      fault job J, attempt A\n"
-        "                         (KIND: transient|permanent|hang|\n"
-        "                          segfault|abort|busy-loop|\n"
-        "                          alloc-bomb|kill; the last five\n"
-        "                          need --isolation process)\n"
-        "  --inject-label S:A:KIND  fault jobs whose label contains S\n"
-        "                         (also: drop-connection|\n"
-        "                          stall-heartbeat|corrupt-frame on a\n"
-        "                          remote worker's --inject-label)\n"
-        "  --inject-random R:SEED   seeded transient storm at rate R\n"
-        "  --port-file PATH       remote: write the bound controller\n"
-        "                         port (rendezvous for port 0)\n"
-        "  --worker-wait-ms N     remote: wait this long for --workers\n"
-        "                         to connect (default 30000)\n"
-        "  --quiet                suppress the rank table\n"
-        "  --help                 show this help\n",
-        argv0, CampaignCliOptions::usageText());
-    return 2;
+    // The command line's default run length (the library's is 200k).
+    cli.pb.instructionsPerRun = 20000;
+    tools::FlagTable table = {
+        {"--workloads", "a,b,c", "benchmarks to run (default: all 13)",
+         [&cli](const std::string &value) {
+             return tools::splitList(value, cli.workloads)
+                        ? std::string()
+                        : "want a comma-separated list";
+         }},
+        {"--instructions", "N", "measured instructions per run",
+         tools::uint64Into(cli.pb.instructionsPerRun)},
+        {"--warmup", "N", "warm-up instructions per run",
+         tools::uint64Into(cli.pb.warmupInstructions)},
+    };
+    const tools::FlagTable shared =
+        tools::campaignFlags(cli.pb.campaign, cli.controller, cli.paths);
+    table.insert(table.end(), shared.begin(), shared.end());
+    const tools::FlagTable own = {
+        {"--adaptive-rounds", "N",
+         "with --sample: re-run benchmarks\n"
+         "whose top-factor effects are inside\n"
+         "their CI with a denser schedule, up\n"
+         "to N total rounds",
+         tools::unsignedInto(cli.adaptiveRounds,
+                             tools::Bound::Positive)},
+        {"--crash-after", "N", "crash drill: die after N appends",
+         [&cli](const std::string &value) {
+             std::size_t appends = 0;
+             if (!tools::parseSize(value.c_str(), appends))
+                 return std::string("want an unsigned integer");
+             cli.crashAfter = appends;
+             return std::string();
+         }},
+        {"--inject", "J:A:KIND",
+         "fault job J, attempt A\n"
+         "(KIND: transient|permanent|hang|\n"
+         " segfault|abort|busy-loop|\n"
+         " alloc-bomb|kill; the last five\n"
+         " need --isolation process)",
+         [&cli](const std::string &value) {
+             std::string job_text;
+             std::size_t job = 0;
+             unsigned attempt = 0;
+             rigor::exec::FaultKind kind{};
+             if (!tools::parseFaultSpec(value, job_text, attempt, kind) ||
+                 !tools::parseSize(job_text.c_str(), job))
+                 return std::string("want J:A:KIND");
+             cli.injector.addFault(job, attempt, kind);
+             return std::string();
+         }},
+        tools::injectLabelFlag(cli.injector),
+        {"--inject-random", "R:SEED", "seeded transient storm at rate R",
+         [&cli](const std::string &value) {
+             const std::size_t colon = value.find(':');
+             double rate = 0.0;
+             std::uint64_t seed = 0;
+             if (colon == std::string::npos ||
+                 !tools::parseDouble(value.substr(0, colon).c_str(),
+                                     rate) ||
+                 !tools::parseUint64(value.substr(colon + 1).c_str(),
+                                     seed))
+                 return std::string("want R:SEED");
+             cli.randomStorm.emplace(rate, seed);
+             return std::string();
+         }},
+        {"--port-file", "PATH",
+         "remote: write the bound controller\n"
+         "port (rendezvous for port 0)",
+         tools::textInto(cli.portFile)},
+        {"--worker-wait-ms", "N",
+         "remote: wait this long for --workers\n"
+         "to connect (default 30000)",
+         tools::unsignedInto(cli.workerWaitMs)},
+        {"--quiet", "", "suppress the rank table",
+         tools::setTo(cli.quiet, true)},
+    };
+    table.insert(table.end(), own.begin(), own.end());
+    return table;
 }
 
-using rigor::tools::parseFaultSpec;
-
-bool
-parseArgs(int argc, char **argv, CliOptions &options)
-{
-    ArgCursor args(argc, argv, "campaign");
-    while (!args.done()) {
-        const std::string arg = args.take();
-        switch (options.campaign.tryParse(args, arg)) {
-        case CampaignCliOptions::Match::Consumed:
-            continue;
-        case CampaignCliOptions::Match::Error:
-            return false;
-        case CampaignCliOptions::Match::NotMine:
-            break;
-        }
-        if (arg == "--workloads") {
-            const char *v = args.valueFor("--workloads");
-            if (v == nullptr ||
-                !rigor::tools::splitList(v, options.workloads))
-                return false;
-        } else if (arg == "--instructions") {
-            const char *v = args.valueFor("--instructions");
-            if (v == nullptr ||
-                !rigor::tools::parseUint64(v, options.instructions))
-                return false;
-        } else if (arg == "--warmup") {
-            const char *v = args.valueFor("--warmup");
-            if (v == nullptr ||
-                !rigor::tools::parseUint64(v, options.warmup))
-                return false;
-        } else if (arg == "--adaptive-rounds") {
-            const char *v = args.valueFor("--adaptive-rounds");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.adaptiveRounds) ||
-                options.adaptiveRounds == 0) {
-                if (v != nullptr)
-                    std::fprintf(stderr,
-                                 "campaign: --adaptive-rounds must "
-                                 "be a positive round count\n");
-                return false;
-            }
-        } else if (arg == "--crash-after") {
-            const char *v = args.valueFor("--crash-after");
-            if (v == nullptr ||
-                !rigor::tools::parseSize(v, options.crashAfter))
-                return false;
-            options.haveCrashAfter = true;
-        } else if (arg == "--inject") {
-            const char *v = args.valueFor("--inject");
-            if (v == nullptr)
-                return false;
-            std::string head;
-            CliOptions::IndexFault fault{};
-            if (!parseFaultSpec(v, head, fault.attempt, fault.kind))
-                return false;
-            if (!rigor::tools::parseSize(head.c_str(), fault.job))
-                return false;
-            options.inject.push_back(fault);
-        } else if (arg == "--inject-label") {
-            const char *v = args.valueFor("--inject-label");
-            if (v == nullptr)
-                return false;
-            CliOptions::LabelFault fault{};
-            if (!parseFaultSpec(v, fault.substring, fault.attempt,
-                                fault.kind))
-                return false;
-            options.injectLabel.push_back(std::move(fault));
-        } else if (arg == "--inject-random") {
-            const char *v = args.valueFor("--inject-random");
-            if (v == nullptr)
-                return false;
-            const std::string spec = v;
-            const std::size_t colon = spec.find(':');
-            if (colon == std::string::npos)
-                return false;
-            if (!rigor::tools::parseDouble(
-                    spec.substr(0, colon).c_str(),
-                    options.randomRate) ||
-                !rigor::tools::parseUint64(
-                    spec.substr(colon + 1).c_str(),
-                    options.randomSeed))
-                return false;
-            options.haveRandom = true;
-        } else if (arg == "--port-file") {
-            const char *v = args.valueFor("--port-file");
-            if (v == nullptr)
-                return false;
-            options.portFile = v;
-        } else if (arg == "--worker-wait-ms") {
-            const char *v = args.valueFor("--worker-wait-ms");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(v,
-                                             options.workerWaitMs))
-                return false;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else {
-            std::fprintf(stderr, "campaign: unknown option %s\n",
-                         arg.c_str());
-            return false;
-        }
-    }
-    return true;
-}
+constexpr const char *kAbout =
+    "Run the 43-factor Plackett-Burman screening campaign with\n"
+    "fault tolerance, crash-safe journaling, fault drills, and\n"
+    "observability sinks (metrics, Perfetto trace, manifest).\n";
 
 } // namespace
 
@@ -275,12 +202,16 @@ int
 main(int argc, char **argv)
 {
     CliOptions cli;
-    if (!parseArgs(argc, argv, cli))
-        return usage(argv[0]);
+    const tools::FlagTable table = campaignTable(cli);
+    if (!tools::parseFlags(table,
+                           std::vector<std::string>(argv + 1, argv + argc),
+                           "campaign"))
+        return tools::usage(argv[0], "[options]", kAbout, table);
+    rigor::methodology::PbExperimentOptions &opts = cli.pb;
     // A fleet the remote pre-flight would reject is refused before
-    // the controller waits for it.
+    // the controller binds and waits for it.
     const rigor::check::DiagnosticSink topology =
-        cli.campaign.remotePreflight();
+        tools::remotePreflight(opts.campaign, cli.controller);
     if (!topology.passed()) {
         std::fprintf(stderr, "%s", topology.toString().c_str());
         return 2;
@@ -298,46 +229,38 @@ main(int argc, char **argv)
                     rigor::trace::workloadByName(name));
         }
 
-        const rigor::exec::FaultPolicy policy =
-            cli.campaign.faultPolicy();
-
-        // The fault-injection plan (empty = the real simulator).
-        rigor::exec::FaultInjector injector;
-        for (const CliOptions::IndexFault &f : cli.inject)
-            injector.addFault(f.job, f.attempt, f.kind);
-        for (const CliOptions::LabelFault &f : cli.injectLabel)
-            injector.addLabelFault(f.substring, f.attempt, f.kind);
-        if (cli.haveRandom) {
-            const std::size_t rows = cli.campaign.foldover ? 88 : 44;
-            injector.planRandomTransients(workloads.size() * rows,
-                                          policy.attempts(),
-                                          cli.randomRate,
-                                          cli.randomSeed);
+        rigor::exec::FaultInjector &injector = cli.injector;
+        if (cli.randomStorm) {
+            const std::size_t rows = opts.campaign.foldover ? 88 : 44;
+            injector.planRandomTransients(
+                workloads.size() * rows,
+                opts.campaign.faultPolicy.attempts(),
+                cli.randomStorm->first, cli.randomStorm->second);
         }
 
         rigor::exec::EngineOptions engine_opts;
-        engine_opts.threads = cli.campaign.threads;
+        engine_opts.threads = opts.campaign.threads;
         if (injector.plannedFaults() != 0)
             engine_opts.simulate = injector.wrap();
         rigor::exec::SimulationEngine engine(engine_opts);
 
         std::unique_ptr<rigor::exec::ResultJournal> journal;
-        if (!cli.campaign.journalPath.empty()) {
+        if (!cli.paths.journal.empty()) {
             journal = std::make_unique<rigor::exec::ResultJournal>(
-                cli.campaign.journalPath);
+                cli.paths.journal);
             if (journal->loadedRecords() != 0)
                 std::fprintf(
                     stderr,
                     "campaign: resuming against %s (%zu completed "
                     "runs on disk%s)\n",
-                    cli.campaign.journalPath.c_str(),
+                    cli.paths.journal.c_str(),
                     journal->loadedRecords(),
                     journal->tornRecords() != 0
                         ? ", torn final record discarded"
                         : "");
-            if (cli.haveCrashAfter)
-                journal->simulateCrashAfter(cli.crashAfter);
-        } else if (cli.haveCrashAfter) {
+            if (cli.crashAfter)
+                journal->simulateCrashAfter(*cli.crashAfter);
+        } else if (cli.crashAfter) {
             std::fprintf(stderr,
                          "campaign: --crash-after needs --journal\n");
             return 2;
@@ -349,12 +272,12 @@ main(int argc, char **argv)
         rigor::obs::TraceWriter trace;
         rigor::obs::CampaignManifest manifest;
         const auto write_sinks = [&] {
-            if (!cli.campaign.metricsOut.empty())
-                metrics.writeTo(cli.campaign.metricsOut);
-            if (!cli.campaign.traceOut.empty())
-                trace.writeTo(cli.campaign.traceOut);
-            if (!cli.campaign.manifestOut.empty())
-                manifest.writeTo(cli.campaign.manifestOut);
+            if (!cli.paths.metrics.empty())
+                metrics.writeTo(cli.paths.metrics);
+            if (!cli.paths.trace.empty())
+                trace.writeTo(cli.paths.trace);
+            if (!cli.paths.manifest.empty())
+                manifest.writeTo(cli.paths.manifest);
         };
 
         // Remote isolation: bring up the lease-granting controller
@@ -363,27 +286,17 @@ main(int argc, char **argv)
         // manifest) outlives every controller thread.
         std::unique_ptr<rigor::exec::net::CampaignController>
             controller;
-        if (cli.campaign.isolation ==
+        if (opts.campaign.isolation ==
             rigor::exec::IsolationMode::Remote) {
-            rigor::exec::net::ControllerOptions net_opts;
-            net_opts.bindAddress = cli.campaign.listenAddress;
-            net_opts.port = static_cast<std::uint16_t>(
-                cli.campaign.listenPort);
-            net_opts.lease =
-                std::chrono::milliseconds(cli.campaign.leaseMs);
-            net_opts.heartbeat =
-                std::chrono::milliseconds(cli.campaign.heartbeatMs);
-            net_opts.sessionGrace = std::chrono::milliseconds(
-                cli.campaign.sessionGraceMs);
-            if (!cli.campaign.authTokenFile.empty())
-                net_opts.authToken = rigor::exec::net::loadAuthToken(
-                    cli.campaign.authTokenFile);
+            if (!cli.paths.authTokenFile.empty())
+                cli.controller.authToken =
+                    rigor::exec::net::loadAuthToken(
+                        cli.paths.authTokenFile);
             controller = std::make_unique<
-                rigor::exec::net::CampaignController>(net_opts);
-            if (!cli.campaign.metricsOut.empty())
+                rigor::exec::net::CampaignController>(cli.controller);
+            if (!cli.paths.metrics.empty())
                 controller->setMetrics(&metrics);
-            const bool want_manifest =
-                !cli.campaign.manifestOut.empty();
+            const bool want_manifest = !cli.paths.manifest.empty();
             controller->setLeaseObserver(
                 [&manifest, want_manifest](
                     const rigor::exec::net::LeaseEvent &event) {
@@ -413,7 +326,7 @@ main(int argc, char **argv)
                 });
             std::fprintf(stderr,
                          "campaign: controller listening on %s:%u\n",
-                         cli.campaign.listenAddress.c_str(),
+                         cli.controller.bindAddress.c_str(),
                          static_cast<unsigned>(controller->port()));
             if (!cli.portFile.empty()) {
                 std::ofstream out(cli.portFile,
@@ -428,16 +341,16 @@ main(int argc, char **argv)
                                              cli.portFile +
                                              "' failed");
             }
-            if (cli.campaign.remoteWorkers != 0 &&
+            if (opts.campaign.remoteWorkers != 0 &&
                 !controller->waitForWorkers(
-                    cli.campaign.remoteWorkers,
+                    opts.campaign.remoteWorkers,
                     std::chrono::milliseconds(cli.workerWaitMs))) {
                 std::fprintf(
                     stderr,
                     "campaign: only %u of %u workers connected "
                     "within %u ms\n",
                     controller->connectedWorkers(),
-                    cli.campaign.remoteWorkers, cli.workerWaitMs);
+                    opts.campaign.remoteWorkers, cli.workerWaitMs);
                 return 1;
             }
         }
@@ -465,8 +378,7 @@ main(int argc, char **argv)
         if (controller != nullptr) {
             std::signal(SIGTERM, requestDrain);
             drain_watcher = std::thread(
-                [&watcher_stop, &cli,
-                 ctrl = controller.get()]() {
+                [&watcher_stop, ctrl = controller.get()]() {
                     while (!watcher_stop.load()) {
                         if (g_drainRequested.load()) {
                             std::fprintf(
@@ -475,8 +387,8 @@ main(int argc, char **argv)
                                 "leases; waiting for in-flight "
                                 "cells)\n");
                             ctrl->beginDrain(
-                                std::chrono::milliseconds(
-                                    cli.campaign.leaseMs + 1000));
+                                ctrl->options().lease +
+                                std::chrono::milliseconds(1000));
                             return;
                         }
                         std::this_thread::sleep_for(
@@ -500,18 +412,14 @@ main(int argc, char **argv)
                                  event.runKey.c_str());
                 });
 
-        rigor::methodology::PbExperimentOptions opts;
-        opts.instructionsPerRun = cli.instructions;
-        opts.warmupInstructions = cli.warmup;
-        cli.campaign.apply(opts.campaign);
         opts.campaign.engine = &engine;
         opts.campaign.journal = journal.get();
         opts.campaign.netController = controller.get();
-        if (!cli.campaign.metricsOut.empty())
+        if (!cli.paths.metrics.empty())
             opts.campaign.metrics = &metrics;
-        if (!cli.campaign.traceOut.empty())
+        if (!cli.paths.trace.empty())
             opts.campaign.trace = &trace;
-        if (!cli.campaign.manifestOut.empty())
+        if (!cli.paths.manifest.empty())
             opts.campaign.manifest = &manifest;
 
         if (cli.adaptiveRounds != 0 &&
@@ -521,7 +429,7 @@ main(int argc, char **argv)
                          "--sample\n");
             return 2;
         }
-        if (cli.campaign.replicates != 0 &&
+        if (opts.campaign.replication.replicates != 0 &&
             cli.adaptiveRounds != 0) {
             std::fprintf(stderr,
                          "campaign: --replicates and "
@@ -529,8 +437,8 @@ main(int argc, char **argv)
                          "exclusive\n");
             return 2;
         }
-        if (!cli.campaign.stabilityOut.empty() &&
-            cli.campaign.replicates == 0) {
+        if (!cli.paths.stability.empty() &&
+            opts.campaign.replication.replicates == 0) {
             std::fprintf(stderr,
                          "campaign: --stability-out needs "
                          "--replicates\n");
@@ -539,7 +447,7 @@ main(int argc, char **argv)
 
         rigor::methodology::PbExperimentResult result;
         try {
-        if (cli.campaign.replicates != 0) {
+        if (opts.campaign.replication.replicates != 0) {
             rigor::methodology::RankStabilityOptions stability;
             stability.base = opts;
             rigor::methodology::ReplicatedPbResult outcome =
@@ -549,19 +457,18 @@ main(int argc, char **argv)
                 std::fprintf(
                     stdout, "%s",
                     outcome.stability.toString().c_str());
-            if (!cli.campaign.stabilityOut.empty()) {
-                std::ofstream out(cli.campaign.stabilityOut,
+            if (!cli.paths.stability.empty()) {
+                std::ofstream out(cli.paths.stability,
                                   std::ios::binary |
                                       std::ios::trunc);
                 if (!out)
                     throw std::runtime_error(
-                        "cannot open '" +
-                        cli.campaign.stabilityOut +
+                        "cannot open '" + cli.paths.stability +
                         "' for writing");
                 out << outcome.stability.toJson() << '\n';
                 if (!out)
                     throw std::runtime_error(
-                        "write to '" + cli.campaign.stabilityOut +
+                        "write to '" + cli.paths.stability +
                         "' failed");
             }
             result = std::move(outcome.pooled);
@@ -629,7 +536,7 @@ main(int argc, char **argv)
                      progress.toString().c_str());
 
         write_sinks();
-        if (!cli.campaign.benchOut.empty()) {
+        if (!cli.paths.bench.empty()) {
             rigor::obs::BenchReport report;
             report.name = "campaign_pb_screen";
             report.wallSeconds = progress.wallSeconds;
@@ -651,11 +558,10 @@ main(int argc, char **argv)
             report.threads = engine.threads();
             report.cacheHits = progress.cacheHits;
             report.journalHits = progress.journalHits;
-            report.sampled = cli.campaign.sample;
+            report.sampled = opts.campaign.sampling.enabled;
             if (report.sampled)
                 report.sampledMips = report.mips;
-            rigor::obs::writeBenchReport(cli.campaign.benchOut,
-                                         report);
+            rigor::obs::writeBenchReport(cli.paths.bench, report);
         }
         return 0;
     } catch (const rigor::exec::SimulatedCrash &e) {

@@ -1,23 +1,13 @@
 #include "cli_options.hh"
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace rigor::tools
 {
-
-const char *
-ArgCursor::valueFor(const char *flag)
-{
-    if (done()) {
-        std::fprintf(stderr, "%s: %s needs an argument\n",
-                     _program.c_str(), flag);
-        return nullptr;
-    }
-    return _argv[_index++];
-}
 
 namespace
 {
@@ -34,6 +24,22 @@ parseRaw(const char *text, unsigned long long &out)
     errno = 0;
     out = std::strtoull(text, &end, 10);
     return errno == 0 && end != nullptr && *end == '\0';
+}
+
+/** A fault-drill kind by its exec::toString name ("segfault",
+ *  "drop-connection", ...); TokenMismatch is the last kind. */
+bool
+parseFaultKind(const std::string &text, exec::FaultKind &kind)
+{
+    for (int k = 0; k <= static_cast<int>(exec::FaultKind::TokenMismatch);
+         ++k) {
+        const auto candidate = static_cast<exec::FaultKind>(k);
+        if (exec::toString(candidate) == text) {
+            kind = candidate;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace
@@ -78,47 +84,6 @@ parseDouble(const char *text, double &out)
     errno = 0;
     out = std::strtod(text, &end);
     return errno == 0 && end != nullptr && *end == '\0';
-}
-
-bool
-parseFaultKind(const std::string &text, exec::FaultKind &kind)
-{
-    using exec::FaultKind;
-    if (text == "transient")
-        kind = FaultKind::Transient;
-    else if (text == "permanent")
-        kind = FaultKind::Permanent;
-    else if (text == "hang")
-        kind = FaultKind::Hang;
-    else if (text == "segfault")
-        kind = FaultKind::Segfault;
-    else if (text == "abort")
-        kind = FaultKind::Abort;
-    else if (text == "busy-loop")
-        kind = FaultKind::BusyLoop;
-    else if (text == "alloc-bomb")
-        kind = FaultKind::AllocBomb;
-    else if (text == "kill")
-        kind = FaultKind::KillWorker;
-    else if (text == "drop-connection")
-        kind = FaultKind::DropConnection;
-    else if (text == "stall-heartbeat")
-        kind = FaultKind::StallHeartbeat;
-    else if (text == "corrupt-frame")
-        kind = FaultKind::CorruptFrame;
-    else if (text == "partition")
-        kind = FaultKind::Partition;
-    else if (text == "reconnect-storm")
-        kind = FaultKind::ReconnectStorm;
-    else if (text == "slow-loris")
-        kind = FaultKind::SlowLoris;
-    else if (text == "duplicate-session")
-        kind = FaultKind::DuplicateSession;
-    else if (text == "token-mismatch")
-        kind = FaultKind::TokenMismatch;
-    else
-        return false;
-    return true;
 }
 
 bool
@@ -192,412 +157,409 @@ splitList(const std::string &csv, std::vector<std::string> &out)
     return !out.empty();
 }
 
-CampaignCliOptions::Match
-CampaignCliOptions::tryParse(ArgCursor &args, const std::string &arg)
+
+namespace
 {
-    // Accept both "--flag value" and "--flag=value": split an inline
-    // value off first, then match on the bare flag name.
-    std::string name = arg;
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.starts_with("--")) {
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string::npos) {
-            name = arg.substr(0, eq);
-            inline_value = arg.substr(eq + 1);
-            has_inline = true;
-        }
-    }
 
-    /** The flag's value: the inline "=value" part, or the next argv
-     *  entry. Returns nullptr (reported) when neither exists. */
-    const auto value = [&](const char *flag) -> const char * {
-        if (has_inline)
-            return inline_value.c_str();
-        return args.valueFor(flag);
-    };
-    const auto unsigned_flag = [&](const char *flag,
-                                   unsigned &out) -> Match {
-        const char *v = value(flag);
-        if (v == nullptr || !parseUnsigned(v, out)) {
-            if (v != nullptr)
-                std::fprintf(stderr, "%s: bad %s value %s\n",
-                             args.program().c_str(), flag, v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    };
-    const auto uint64_flag = [&](const char *flag,
-                                 std::uint64_t &out) -> Match {
-        const char *v = value(flag);
-        if (v == nullptr || !parseUint64(v, out)) {
-            if (v != nullptr)
-                std::fprintf(stderr, "%s: bad %s value %s\n",
-                             args.program().c_str(), flag, v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    };
-    const auto path_flag = [&](const char *flag,
-                               std::string &out) -> Match {
-        const char *v = value(flag);
-        if (v == nullptr)
-            return Match::Error;
-        out = v;
-        return Match::Consumed;
-    };
-    /** A flag that takes no value rejects an inline "=value". */
-    const auto bare = [&](bool &out) -> Match {
-        if (has_inline) {
-            std::fprintf(stderr, "%s: %s takes no value\n",
-                         args.program().c_str(), name.c_str());
-            return Match::Error;
-        }
-        out = true;
-        return Match::Consumed;
-    };
+constexpr const char *kHelp = "--help";
+constexpr const char *kWantUnsigned = "want an unsigned integer";
+constexpr const char *kWantPositive = "want a positive integer";
 
-    if (name == "--threads")
-        return unsigned_flag("--threads", threads);
-    if (name == "--no-foldover") {
-        bool off = false;
-        const Match m = bare(off);
-        if (m == Match::Consumed)
-            foldover = false;
-        return m;
-    }
-    if (name == "--skip-preflight") {
-        bool on = false;
-        const Match m = bare(on);
-        if (m == Match::Consumed)
-            skipPreflight = true;
-        return m;
-    }
-    if (name == "--retries")
-        return unsigned_flag("--retries", retries);
-    if (name == "--backoff-ms")
-        return unsigned_flag("--backoff-ms", backoffMs);
-    if (name == "--backoff-jitter") {
-        const char *v = value("--backoff-jitter");
-        if (v == nullptr || !parseDouble(v, backoffJitter) ||
-            backoffJitter < 0.0 || backoffJitter > 1.0) {
-            if (v != nullptr)
-                std::fprintf(stderr,
-                             "%s: bad --backoff-jitter value %s "
-                             "(want [0, 1])\n",
-                             args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--backoff-seed")
-        return uint64_flag("--backoff-seed", backoffSeed);
-    if (name == "--deadline-ms")
-        return unsigned_flag("--deadline-ms", deadlineMs);
-    if (name == "--isolation") {
-        const char *v = value("--isolation");
-        if (v == nullptr)
-            return Match::Error;
-        if (!exec::parseIsolationMode(v, isolation)) {
-            std::fprintf(stderr,
-                         "%s: unknown --isolation mode %s "
-                         "(want thread | process | remote)\n",
-                         args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--listen") {
-        const char *v = value("--listen");
-        if (v == nullptr)
-            return Match::Error;
-        std::uint16_t port = static_cast<std::uint16_t>(listenPort);
-        if (!parseEndpoint(v, listenAddress, port)) {
-            std::fprintf(stderr,
-                         "%s: bad --listen endpoint %s "
-                         "(want HOST:PORT, HOST, or PORT)\n",
-                         args.program().c_str(), v);
-            return Match::Error;
-        }
-        listenPort = port;
-        haveListen = true;
-        isolation = exec::IsolationMode::Remote;
-        return Match::Consumed;
-    }
-    if (name == "--workers")
-        return unsigned_flag("--workers", remoteWorkers);
-    if (name == "--lease-ms") {
-        const Match m = unsigned_flag("--lease-ms", leaseMs);
-        if (m == Match::Consumed && leaseMs == 0) {
-            std::fprintf(stderr,
-                         "%s: --lease-ms must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--heartbeat-ms") {
-        const Match m = unsigned_flag("--heartbeat-ms", heartbeatMs);
-        if (m == Match::Consumed && heartbeatMs == 0) {
-            std::fprintf(stderr,
-                         "%s: --heartbeat-ms must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--session-grace-ms")
-        return unsigned_flag("--session-grace-ms", sessionGraceMs);
-    if (name == "--auth-token-file")
-        return path_flag("--auth-token-file", authTokenFile);
-    if (name == "--mem-limit-mb") {
-        const Match m = uint64_flag("--mem-limit-mb", memLimitMb);
-        if (m == Match::Consumed && memLimitMb == 0) {
-            std::fprintf(stderr,
-                         "%s: --mem-limit-mb must be positive (omit "
-                         "the flag to disable the cap)\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--hard-deadline-ms") {
-        const Match m =
-            unsigned_flag("--hard-deadline-ms", hardDeadlineMs);
-        if (m == Match::Consumed && hardDeadlineMs == 0) {
-            std::fprintf(stderr,
-                         "%s: --hard-deadline-ms must be positive "
-                         "(omit the flag to disable the watchdog)\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--sample") {
-        bool on = false;
-        const Match m = bare(on);
-        if (m == Match::Consumed)
-            sample = true;
-        return m;
-    }
-    if (name == "--sample-unit") {
-        const Match m = uint64_flag("--sample-unit", sampleUnit);
-        if (m == Match::Consumed && sampleUnit == 0) {
-            std::fprintf(stderr,
-                         "%s: --sample-unit must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--sample-warmup")
-        return uint64_flag("--sample-warmup", sampleWarmup);
-    if (name == "--sample-interval") {
-        const Match m =
-            uint64_flag("--sample-interval", sampleInterval);
-        if (m == Match::Consumed && sampleInterval == 0) {
-            std::fprintf(stderr,
-                         "%s: --sample-interval must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--sample-rel-error") {
-        const char *v = value("--sample-rel-error");
-        if (v == nullptr || !parseDouble(v, sampleRelError) ||
-            sampleRelError <= 0.0 || sampleRelError >= 1.0) {
-            if (v != nullptr)
-                std::fprintf(stderr,
-                             "%s: bad --sample-rel-error value %s "
-                             "(want (0, 1))\n",
-                             args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--sample-confidence") {
-        const char *v = value("--sample-confidence");
-        if (v == nullptr || !parseDouble(v, sampleConfidence) ||
-            sampleConfidence <= 0.0 || sampleConfidence >= 1.0) {
-            if (v != nullptr)
-                std::fprintf(stderr,
-                             "%s: bad --sample-confidence value %s "
-                             "(want (0, 1))\n",
-                             args.program().c_str(), v);
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--collect") {
-        bool on = false;
-        const Match m = bare(on);
-        if (m == Match::Consumed)
-            collect = true;
-        return m;
-    }
-    if (name == "--degrade") {
-        const char *v = value("--degrade");
-        if (v == nullptr)
-            return Match::Error;
-        const std::string mode = v;
-        if (mode == "abort") {
-            degrade = check::DegradationMode::Abort;
-        } else if (mode == "drop-benchmark") {
-            degrade = check::DegradationMode::DropBenchmark;
-        } else {
-            std::fprintf(stderr, "%s: unknown --degrade mode %s\n",
-                         args.program().c_str(), mode.c_str());
-            return Match::Error;
-        }
-        return Match::Consumed;
-    }
-    if (name == "--replicates")
-        return unsigned_flag("--replicates", replicates);
-    if (name == "--bootstrap-iters") {
-        const Match m =
-            uint64_flag("--bootstrap-iters", bootstrapIters);
-        if (m == Match::Consumed && bootstrapIters == 0) {
-            std::fprintf(stderr,
-                         "%s: --bootstrap-iters must be positive\n",
-                         args.program().c_str());
-            return Match::Error;
-        }
-        return m;
-    }
-    if (name == "--bootstrap-seed")
-        return uint64_flag("--bootstrap-seed", bootstrapSeed);
-    if (name == "--stability-out")
-        return path_flag("--stability-out", stabilityOut);
-    if (name == "--journal")
-        return path_flag("--journal", journalPath);
-    if (name == "--metrics-out")
-        return path_flag("--metrics-out", metricsOut);
-    if (name == "--trace-out")
-        return path_flag("--trace-out", traceOut);
-    if (name == "--manifest-out")
-        return path_flag("--manifest-out", manifestOut);
-    if (name == "--bench-out")
-        return path_flag("--bench-out", benchOut);
-    return Match::NotMine;
+/** Parse with @p parse into @p out, then enforce @p bound. */
+template <typename T, typename Parse>
+std::string
+bindNumber(const std::string &value, T &out, Bound bound, Parse parse)
+{
+    T parsed{};
+    if (!parse(value.c_str(), parsed) ||
+        (bound == Bound::Positive && parsed == T{}))
+        return bound == Bound::Positive ? kWantPositive : kWantUnsigned;
+    out = parsed;
+    return "";
 }
 
-exec::FaultPolicy
-CampaignCliOptions::faultPolicy() const
+} // namespace
+
+Binder
+setTo(bool &out, bool value)
 {
-    exec::FaultPolicy policy;
-    policy.maxAttempts = retries + 1;
-    policy.backoffBase = std::chrono::milliseconds(backoffMs);
-    policy.backoffJitter = backoffJitter;
-    policy.backoffSeed = backoffSeed;
-    policy.attemptDeadline = std::chrono::milliseconds(deadlineMs);
-    policy.collectFailures = collect;
-    return policy;
+    return [&out, value](const std::string &) {
+        out = value;
+        return std::string();
+    };
 }
 
-void
-CampaignCliOptions::apply(exec::CampaignOptions &campaign) const
+Binder
+unsignedInto(unsigned &out, Bound bound)
 {
-    campaign.threads = threads;
-    campaign.foldover = foldover;
-    campaign.skipPreflight = skipPreflight;
-    campaign.faultPolicy = faultPolicy();
-    campaign.degradation = degrade;
-    campaign.isolation = isolation;
-    campaign.memLimitMb = memLimitMb;
-    campaign.hardDeadline = std::chrono::milliseconds(hardDeadlineMs);
-    campaign.leaseDuration = std::chrono::milliseconds(leaseMs);
-    campaign.heartbeatInterval =
-        std::chrono::milliseconds(heartbeatMs);
-    campaign.sessionGrace =
-        std::chrono::milliseconds(sessionGraceMs);
-    campaign.remoteWorkers = remoteWorkers;
-    campaign.sampling.enabled = sample;
-    campaign.sampling.unitInstructions = sampleUnit;
-    campaign.sampling.warmupInstructions = sampleWarmup;
-    campaign.sampling.intervalInstructions = sampleInterval;
-    campaign.sampling.targetRelativeError = sampleRelError;
-    campaign.sampling.confidence = sampleConfidence;
-    campaign.replication.replicates = replicates;
-    campaign.replication.bootstrap.iterations = bootstrapIters;
-    campaign.replication.bootstrap.seed = bootstrapSeed;
+    return [&out, bound](const std::string &value) {
+        return bindNumber(value, out, bound, parseUnsigned);
+    };
+}
+
+Binder
+uint64Into(std::uint64_t &out, Bound bound)
+{
+    return [&out, bound](const std::string &value) {
+        return bindNumber(value, out, bound, parseUint64);
+    };
+}
+
+Binder
+sizeInto(std::size_t &out)
+{
+    return [&out](const std::string &value) {
+        return bindNumber(value, out, Bound::Any, parseSize);
+    };
+}
+
+Binder
+millisInto(std::chrono::milliseconds &out, Bound bound)
+{
+    return [&out, bound](const std::string &value) {
+        unsigned ms = 0;
+        std::string want = bindNumber(value, ms, bound, parseUnsigned);
+        if (want.empty())
+            out = std::chrono::milliseconds(ms);
+        return want;
+    };
+}
+
+Binder
+doubleInto(double &out)
+{
+    return [&out](const std::string &value) {
+        return parseDouble(value.c_str(), out) ? std::string()
+                                               : "want a number";
+    };
+}
+
+Binder
+fractionInto(double &out, bool open)
+{
+    return [&out, open](const std::string &value) {
+        double parsed = 0.0;
+        const bool inside =
+            parseDouble(value.c_str(), parsed) &&
+            (open ? parsed > 0.0 && parsed < 1.0
+                  : parsed >= 0.0 && parsed <= 1.0);
+        if (!inside)
+            return std::string(open ? "want (0, 1)" : "want [0, 1]");
+        out = parsed;
+        return std::string();
+    };
+}
+
+Binder
+textInto(std::string &out)
+{
+    return [&out](const std::string &value) {
+        out = value;
+        return std::string();
+    };
+}
+
+Flag
+isolationFlag(exec::IsolationMode &mode, bool allowRemote)
+{
+    return {"--isolation", "MODE",
+            allowRemote
+                ? "thread | process | remote; process\n"
+                  "forks sandbox workers that survive\n"
+                  "crash, OOM, and hangs; remote shards\n"
+                  "cells across a TCP worker fleet"
+                : "thread | process; process forks a\n"
+                  "local sandbox pool for the attempts",
+            [&mode, allowRemote](const std::string &value) {
+                exec::IsolationMode parsed{};
+                if (!exec::parseIsolationMode(value, parsed) ||
+                    (!allowRemote &&
+                     parsed == exec::IsolationMode::Remote))
+                    return std::string(
+                        allowRemote ? "want thread | process | remote"
+                                    : "want thread | process");
+                mode = parsed;
+                return std::string();
+            }};
+}
+
+Flag
+memLimitFlag(std::uint64_t &memLimitMb)
+{
+    return {"--mem-limit-mb", "N",
+            "per-sandbox memory cap in MiB\n"
+            "(omit to disable the cap)",
+            uint64Into(memLimitMb, Bound::Positive)};
+}
+
+Flag
+hardDeadlineFlag(std::chrono::milliseconds &hardDeadline)
+{
+    return {"--hard-deadline-ms", "N",
+            "SIGKILL a sandbox attempt past this\n"
+            "(omit to disable the watchdog)",
+            millisInto(hardDeadline, Bound::Positive)};
+}
+
+Flag
+authTokenFileFlag(std::string &path)
+{
+    return {"--auth-token-file", "PATH",
+            "shared fleet token; the controller\n"
+            "demands an HMAC challenge-response\n"
+            "before any lease is granted",
+            textInto(path)};
+}
+
+Flag
+injectLabelFlag(exec::FaultInjector &injector)
+{
+    return {"--inject-label", "S:A:KIND",
+            "fault attempt A of jobs whose label\n"
+            "contains S (KIND: transient|permanent|\n"
+            "hang|segfault|abort|busy-loop|\n"
+            "alloc-bomb|kill|drop-connection|\n"
+            "stall-heartbeat|corrupt-frame|\n"
+            "partition|reconnect-storm|slow-loris|\n"
+            "duplicate-session|token-mismatch)",
+            [&injector](const std::string &value) {
+                std::string label;
+                unsigned attempt = 0;
+                exec::FaultKind kind{};
+                if (!parseFaultSpec(value, label, attempt, kind))
+                    return std::string("want S:A:KIND");
+                injector.addLabelFault(label, attempt, kind);
+                return std::string();
+            }};
+}
+
+FlagTable
+campaignFlags(exec::CampaignOptions &campaign,
+              exec::net::ControllerOptions &controller,
+              CampaignPaths &paths)
+{
+    // A lost worker's session is parked for 5 s unless the command
+    // line says otherwise (the library default is no parking).
+    controller.sessionGrace = std::chrono::milliseconds(5000);
+    exec::FaultPolicy &policy = campaign.faultPolicy;
+    sample::SamplingOptions &sampling = campaign.sampling;
+    stats::ReplicationOptions &replication = campaign.replication;
+    return {
+        {"--threads", "N", "worker threads (0 = hardware)",
+         unsignedInto(campaign.threads)},
+        {"--no-foldover", "", "44-run base design instead of 88",
+         setTo(campaign.foldover, false)},
+        {"--skip-preflight", "", "skip the pre-flight static analysis",
+         setTo(campaign.skipPreflight, true)},
+        {"--retries", "N", "extra attempts per job (default 0)",
+         [&policy](const std::string &value) {
+             unsigned retries = 0;
+             std::string want =
+                 bindNumber(value, retries, Bound::Any, parseUnsigned);
+             if (want.empty())
+                 policy.maxAttempts = retries + 1;
+             return want;
+         }},
+        {"--backoff-ms", "N", "base backoff, doubled per retry",
+         millisInto(policy.backoffBase)},
+        {"--backoff-jitter", "F",
+         "randomize away up to F of each\n"
+         "backoff (seeded, replayable; [0,1])",
+         fractionInto(policy.backoffJitter, false)},
+        {"--backoff-seed", "N", "seed of the jitter stream",
+         uint64Into(policy.backoffSeed)},
+        {"--deadline-ms", "N", "per-attempt deadline (0 = none)",
+         millisInto(policy.attemptDeadline)},
+        isolationFlag(campaign.isolation, true),
+        memLimitFlag(campaign.memLimitMb),
+        hardDeadlineFlag(campaign.hardDeadline),
+        {"--listen", "HOST:PORT",
+         "remote: controller listen endpoint\n"
+         "(implies --isolation remote; port 0\n"
+         "= kernel-assigned)",
+         [&campaign, &controller](const std::string &value) {
+             if (!parseEndpoint(value, controller.bindAddress,
+                                controller.port))
+                 return std::string("want HOST:PORT, HOST, or PORT");
+             campaign.isolation = exec::IsolationMode::Remote;
+             return std::string();
+         }},
+        {"--workers", "N",
+         "remote: wait for N workers before\n"
+         "the campaign starts",
+         unsignedInto(campaign.remoteWorkers)},
+        {"--lease-ms", "N",
+         "remote: worker-silence budget before\n"
+         "its cells are reclaimed and requeued\n"
+         "(default 10000)",
+         millisInto(controller.lease, Bound::Positive)},
+        {"--heartbeat-ms", "N",
+         "remote: worker heartbeat cadence\n"
+         "(default 1000; must stay under half\n"
+         "the lease)",
+         millisInto(controller.heartbeat, Bound::Positive)},
+        {"--session-grace-ms", "N",
+         "remote: hold a disconnected worker's\n"
+         "leases this long awaiting a session\n"
+         "resume with the same id (default\n"
+         "5000; 0 = reclaim immediately)",
+         millisInto(controller.sessionGrace)},
+        authTokenFileFlag(paths.authTokenFile),
+        {"--collect", "", "quarantine failures, don't fail fast",
+         setTo(policy.collectFailures, true)},
+        {"--degrade", "MODE", "abort | drop-benchmark (with --collect)",
+         [&campaign](const std::string &value) {
+             if (value == "abort")
+                 campaign.degradation = check::DegradationMode::Abort;
+             else if (value == "drop-benchmark")
+                 campaign.degradation =
+                     check::DegradationMode::DropBenchmark;
+             else
+                 return std::string("want abort | drop-benchmark");
+             return std::string();
+         }},
+        {"--sample", "",
+         "SMARTS-style sampled simulation:\n"
+         "periodic detailed units with CPI CIs\n"
+         "instead of full detailed runs",
+         setTo(sampling.enabled, true)},
+        {"--sample-unit", "N",
+         "measured instructions per unit\n"
+         "(default 1000)",
+         uint64Into(sampling.unitInstructions, Bound::Positive)},
+        {"--sample-warmup", "N",
+         "detailed warm-up before each unit\n"
+         "(default 2000)",
+         uint64Into(sampling.warmupInstructions)},
+        {"--sample-interval", "N",
+         "one unit every N instructions\n"
+         "(default 10000)",
+         uint64Into(sampling.intervalInstructions, Bound::Positive)},
+        {"--sample-rel-error", "F",
+         "target relative CI half-width on\n"
+         "CPI (default 0.05)",
+         fractionInto(sampling.targetRelativeError, true)},
+        {"--sample-confidence", "F", "CI confidence level (default 0.95)",
+         fractionInto(sampling.confidence, true)},
+        {"--replicates", "R",
+         "run R independently seeded workload\n"
+         "realizations and bootstrap rank CIs\n"
+         "(0 = single realization; the\n"
+         "pre-flight floor is 3)",
+         unsignedInto(replication.replicates)},
+        {"--bootstrap-iters", "N", "bootstrap resamples (default 2000)",
+         uint64Into(replication.bootstrap.iterations, Bound::Positive)},
+        {"--bootstrap-seed", "N", "seed of the deterministic bootstrap",
+         uint64Into(replication.bootstrap.seed)},
+        {"--stability-out", "PATH", "write the stability report JSON",
+         textInto(paths.stability)},
+        {"--journal", "PATH", "crash-safe journal; rerun to resume",
+         textInto(paths.journal)},
+        {"--metrics-out", "PATH", "write the metrics registry as JSON",
+         textInto(paths.metrics)},
+        {"--trace-out", "PATH", "write a Chrome/Perfetto trace JSON",
+         textInto(paths.trace)},
+        {"--manifest-out", "PATH", "write the campaign manifest (JSONL)",
+         textInto(paths.manifest)},
+        {"--bench-out", "PATH", "write a wall-time/throughput report",
+         textInto(paths.bench)},
+    };
 }
 
 check::DiagnosticSink
-CampaignCliOptions::remotePreflight() const
+remotePreflight(const exec::CampaignOptions &campaign,
+                const exec::net::ControllerOptions &controller)
 {
     check::DiagnosticSink sink;
-    if (skipPreflight)
-        return sink;
-    exec::CampaignOptions campaign;
-    apply(campaign);
-    check::checkRemotePlan(exec::remotePlanFor(campaign), sink);
+    if (!campaign.skipPreflight)
+        check::checkRemotePlan(
+            exec::net::remotePlanFor(campaign, controller), sink);
     return sink;
 }
 
-const char *
-CampaignCliOptions::usageText()
+bool
+parseFlags(const FlagTable &table, const std::vector<std::string> &args,
+           const std::string &program, const Positional &positional)
 {
-    return
-        "  --threads N            worker threads (0 = hardware)\n"
-        "  --no-foldover          44-run base design instead of 88\n"
-        "  --skip-preflight       skip the pre-flight static analysis\n"
-        "  --retries N            extra attempts per job (default 0)\n"
-        "  --backoff-ms N         base backoff, doubled per retry\n"
-        "  --backoff-jitter F     randomize away up to F of each\n"
-        "                         backoff (seeded, replayable; [0,1])\n"
-        "  --backoff-seed N       seed of the jitter stream\n"
-        "  --deadline-ms N        per-attempt deadline (0 = none)\n"
-        "  --isolation MODE       thread | process | remote; process\n"
-        "                         forks sandbox workers that survive\n"
-        "                         crash, OOM, and hangs; remote shards\n"
-        "                         cells across a TCP worker fleet\n"
-        "  --mem-limit-mb N       per-sandbox memory cap in MiB\n"
-        "  --hard-deadline-ms N   SIGKILL a sandbox attempt past this\n"
-        "  --listen HOST:PORT     remote: controller listen endpoint\n"
-        "                         (implies --isolation remote; port 0\n"
-        "                         = kernel-assigned)\n"
-        "  --workers N            remote: wait for N workers before\n"
-        "                         the campaign starts\n"
-        "  --lease-ms N           remote: worker-silence budget before\n"
-        "                         its cells are reclaimed and requeued\n"
-        "                         (default 10000)\n"
-        "  --heartbeat-ms N       remote: worker heartbeat cadence\n"
-        "                         (default 1000; must stay under half\n"
-        "                         the lease)\n"
-        "  --session-grace-ms N   remote: hold a disconnected worker's\n"
-        "                         leases this long awaiting a session\n"
-        "                         resume with the same id (default\n"
-        "                         5000; 0 = reclaim immediately)\n"
-        "  --auth-token-file PATH remote: shared fleet token; workers\n"
-        "                         must answer an HMAC challenge before\n"
-        "                         any lease is granted\n"
-        "  --collect              quarantine failures, don't fail fast\n"
-        "  --degrade MODE         abort | drop-benchmark (with --collect)\n"
-        "  --sample               SMARTS-style sampled simulation:\n"
-        "                         periodic detailed units with CPI CIs\n"
-        "                         instead of full detailed runs\n"
-        "  --sample-unit N        measured instructions per unit\n"
-        "                         (default 1000)\n"
-        "  --sample-warmup N      detailed warm-up before each unit\n"
-        "                         (default 2000)\n"
-        "  --sample-interval N    one unit every N instructions\n"
-        "                         (default 10000)\n"
-        "  --sample-rel-error F   target relative CI half-width on\n"
-        "                         CPI (default 0.05)\n"
-        "  --sample-confidence F  CI confidence level (default 0.95)\n"
-        "  --replicates R         run R independently seeded workload\n"
-        "                         realizations and bootstrap rank CIs\n"
-        "                         (0 = single realization; the\n"
-        "                         pre-flight floor is 3)\n"
-        "  --bootstrap-iters N    bootstrap resamples (default 2000)\n"
-        "  --bootstrap-seed N     seed of the deterministic bootstrap\n"
-        "  --stability-out PATH   write the stability report JSON\n"
-        "  --journal PATH         crash-safe journal; rerun to resume\n"
-        "  --metrics-out PATH     write the metrics registry as JSON\n"
-        "  --trace-out PATH       write a Chrome/Perfetto trace JSON\n"
-        "  --manifest-out PATH    write the campaign manifest (JSONL)\n"
-        "  --bench-out PATH       write a wall-time/throughput report\n";
+    const auto fail = [&program](const std::string &message) {
+        std::fprintf(stderr, "%s: %s\n", program.c_str(),
+                     message.c_str());
+        return false;
+    };
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        if (arg == kHelp || arg == "-h")
+            return false;
+        if (!arg.starts_with('-')) {
+            if (!positional)
+                return fail("unexpected argument " + arg);
+            positional(arg);
+            continue;
+        }
+        const std::size_t eq =
+            arg.starts_with("--") ? arg.find('=') : std::string::npos;
+        const std::string name = arg.substr(0, eq);
+        const auto row = std::find_if(
+            table.begin(), table.end(),
+            [&name](const Flag &flag) { return flag.name == name; });
+        if (row == table.end())
+            return fail("unknown option " + arg);
+        std::string value;
+        if (eq != std::string::npos) {
+            if (row->metavar.empty())
+                return fail(name + " takes no value");
+            value = arg.substr(eq + 1);
+        } else if (!row->metavar.empty()) {
+            if (i + 1 == args.size())
+                return fail(name + " needs an argument");
+            value = args[++i];
+        }
+        const std::string want = row->bind(value);
+        if (!want.empty()) {
+            std::fprintf(stderr, "%s: bad %s value '%s' (%s)\n",
+                         program.c_str(), name.c_str(), value.c_str(),
+                         want.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
+std::string
+renderHelp(const FlagTable &table)
+{
+    // Help text starts in column 25; a longer label gets two spaces.
+    constexpr std::size_t kColumn = 25;
+    std::string out;
+    const auto entry = [&out](std::string label,
+                              const std::string &help) {
+        label.append(label.size() < kColumn ? kColumn - label.size() : 2,
+                     ' ');
+        out += label;
+        for (const char c : help) {
+            out += c;
+            if (c == '\n')
+                out.append(kColumn, ' ');
+        }
+        out += '\n';
+    };
+    for (const Flag &flag : table) {
+        std::string label = "  " + flag.name;
+        if (!flag.metavar.empty())
+            label += " " + flag.metavar;
+        entry(std::move(label), flag.help);
+    }
+    entry(std::string("  ") + kHelp, "show this help");
+    return out;
+}
+
+int
+usage(const char *argv0, const char *synopsis, const char *about,
+      const FlagTable &table)
+{
+    std::fprintf(stderr, "usage: %s %s\n\n%s\noptions:\n%s", argv0,
+                 synopsis, about, renderHelp(table).c_str());
+    return 2;
 }
 
 } // namespace rigor::tools

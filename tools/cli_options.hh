@@ -1,60 +1,36 @@
 /**
  * @file
- * Shared command-line plumbing for the rigor tools.
+ * The one flag table behind every rigor tool's command line.
  *
- * campaign and rigor_lint used to each hand-roll the same argv
- * walking, "flag needs an argument" reporting, and numeric parsing —
- * and campaign additionally mapped a dozen flags onto what is now
- * exec::CampaignOptions. This helper owns all of it: ArgCursor is the
- * argv walker, the strict parse* functions reject trailing garbage
- * instead of silently truncating, and CampaignCliOptions is the
- * declarative home of every flag that configures a campaign
- * (execution knobs, fault policy, journal, and the observability
- * sink paths), rendered onto exec::CampaignOptions with apply().
+ * A tool declares its flags as a FlagTable: one Flag row per flag,
+ * holding the spelling, the value's metavar, the help text, and a
+ * binder that parses the value straight into its target (an
+ * exec::CampaignOptions field, a net::ControllerOptions field, a
+ * FaultInjector, a tool-local path). parseFlags() is the only argv
+ * loop and usage() the only --help renderer, so a flag is declared
+ * once and both parsed and documented from that declaration.
+ *
+ * campaignFlags() is the shared table of every flag that configures
+ * a campaign; the isolation, resource-cap, auth-token, and drill rows
+ * are factories so `worker` binds the same rows into its own targets.
  */
 
 #ifndef RIGOR_TOOLS_CLI_OPTIONS_HH
 #define RIGOR_TOOLS_CLI_OPTIONS_HH
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/diagnostic.hh"
 #include "exec/campaign_options.hh"
 #include "exec/fault_injection.hh"
+#include "exec/net/controller.hh"
 
 namespace rigor::tools
 {
-
-/** Forward walker over argv with uniform error reporting. */
-class ArgCursor
-{
-  public:
-    ArgCursor(int argc, char **argv, std::string program)
-        : _argc(argc), _argv(argv), _program(std::move(program))
-    {
-    }
-
-    bool done() const { return _index >= _argc; }
-
-    /** Current argument; advances. Only valid when !done(). */
-    std::string take() { return _argv[_index++]; }
-
-    /**
-     * The value following @p flag, advancing past it; nullptr (with a
-     * "<flag> needs an argument" line on stderr) when argv ends.
-     */
-    const char *valueFor(const char *flag);
-
-    const std::string &program() const { return _program; }
-
-  private:
-    int _argc;
-    char **_argv;
-    int _index = 1;
-    std::string _program;
-};
 
 /** Strict numeric parsers: entire string or failure. */
 bool parseUnsigned(const char *text, unsigned &out);
@@ -66,18 +42,9 @@ bool parseDouble(const char *text, double &out);
 bool splitList(const std::string &csv,
                std::vector<std::string> &out);
 
-/**
- * Parse a fault-drill kind name ("transient", "permanent", "hang",
- * "segfault", "abort", "busy-loop", "alloc-bomb", "kill",
- * "drop-connection", "stall-heartbeat", "corrupt-frame",
- * "partition", "reconnect-storm", "slow-loris", "duplicate-session",
- * "token-mismatch"). Shared by campaign's --inject* flags and
- * worker's --inject-label.
- */
-bool parseFaultKind(const std::string &text, exec::FaultKind &kind);
-
 /** Parse "head:attempt:kind", splitting on the LAST two colons so
- *  the head (a label substring) may itself contain colons. */
+ *  the head (a label substring) may itself contain colons; kind is an
+ *  exec::toString(FaultKind) name. */
 bool parseFaultSpec(const std::string &spec, std::string &head,
                     unsigned &attempt, exec::FaultKind &kind);
 
@@ -90,116 +57,115 @@ bool parseEndpoint(const std::string &text, std::string &host,
                    std::uint16_t &port);
 
 /**
- * Every command-line flag that configures campaign execution and
- * observability, parsed flag-by-flag with tryParse() and rendered
- * onto exec::CampaignOptions with apply(). The sink *paths* live
- * here; the sink *objects* (registries, writers, manifests) are
- * constructed and attached by the tool, which owns their lifetime.
+ * Parse one flag value into its target. Returns an empty string on
+ * success, otherwise what a valid value looks like ("want a positive
+ * integer") for the parse loop to report. Bare flags get "".
  */
-struct CampaignCliOptions
+using Binder = std::function<std::string(const std::string &value)>;
+
+/** One row of a flag table. */
+struct Flag
 {
-    unsigned threads = 0;
-    bool foldover = true;
-    bool skipPreflight = false;
-    unsigned retries = 0;
-    unsigned backoffMs = 0;
-    /** Fraction of each backoff randomized away (seeded, in [0,1]). */
-    double backoffJitter = 0.0;
-    /** Seed of the deterministic backoff jitter stream. */
-    std::uint64_t backoffSeed = 0;
-    unsigned deadlineMs = 0;
-    /** Attempt isolation: in-process threads, or forked sandboxes. */
-    exec::IsolationMode isolation = exec::IsolationMode::Thread;
-    /** Process isolation: per-worker memory cap in MiB (0 = off). */
-    std::uint64_t memLimitMb = 0;
-    /** Process isolation: hard watchdog deadline in ms (0 = off). */
-    unsigned hardDeadlineMs = 0;
-    /** Remote isolation: controller listen address (--listen). */
-    std::string listenAddress = "127.0.0.1";
-    /** Remote isolation: listen port (0 = kernel-assigned). */
-    unsigned listenPort = 0;
-    /** --listen was given (implies --isolation remote). */
-    bool haveListen = false;
-    /** Remote isolation: expected worker-fleet size (--workers). */
-    unsigned remoteWorkers = 0;
-    /** Remote isolation: lease duration (worker-silence budget). */
-    unsigned leaseMs = 10000;
-    /** Remote isolation: advertised heartbeat cadence. */
-    unsigned heartbeatMs = 1000;
-    /** Remote isolation: how long a disconnected worker's session is
-     *  parked awaiting resume (0 = reclaim immediately). */
-    unsigned sessionGraceMs = 5000;
-    /** Remote isolation: file holding the shared fleet auth token;
-     *  empty = authentication off. */
-    std::string authTokenFile;
-    bool collect = false;
-    check::DegradationMode degrade = check::DegradationMode::Abort;
-    /** SMARTS-style sampled simulation (off = full detailed runs). */
-    bool sample = false;
-    /** Measured detailed instructions per sampling unit. */
-    std::uint64_t sampleUnit = 1000;
-    /** Detailed warm-up instructions before each measured unit. */
-    std::uint64_t sampleWarmup = 2000;
-    /** Sampling period: one unit every this many instructions. */
-    std::uint64_t sampleInterval = 10000;
-    /** Target relative CI half-width on CPI (in (0, 1)). */
-    double sampleRelError = 0.05;
-    /** CI confidence level (in (0, 1)). */
-    double sampleConfidence = 0.95;
-    /** Workload-generation replicates (0 = single realization). */
-    unsigned replicates = 0;
-    /** Bootstrap iterations over the replicate responses. */
-    std::uint64_t bootstrapIters = 2000;
-    /** Seed of the deterministic bootstrap stream. */
-    std::uint64_t bootstrapSeed = 0x5eedb007u;
-    /** Where to write the stability report JSON; empty = stdout only. */
-    std::string stabilityOut;
-    std::string journalPath;
-    /** Observability output paths; empty = sink disabled. */
-    std::string metricsOut;
-    std::string traceOut;
-    std::string manifestOut;
-    std::string benchOut;
-
-    /** Outcome of offering one argument to tryParse(). */
-    enum class Match
-    {
-        /** The flag (and its value, if any) was consumed. */
-        Consumed,
-        /** Not a shared campaign flag; caller should try its own. */
-        NotMine,
-        /** A shared flag with a missing/invalid value (reported). */
-        Error,
-    };
-
-    /**
-     * Offer @p arg (already taken from @p args) to the shared flag
-     * table. Consumes the flag's value from @p args when it has one;
-     * both "--flag value" and "--flag=value" spellings are accepted.
-     */
-    Match tryParse(ArgCursor &args, const std::string &arg);
-
-    /** The fault policy the flags describe. */
-    exec::FaultPolicy faultPolicy() const;
-
-    /**
-     * Render the execution knobs (threads, foldover, skipPreflight,
-     * fault policy, degradation) onto @p campaign. Sinks and the
-     * journal are attached by the caller.
-     */
-    void apply(exec::CampaignOptions &campaign) const;
-
-    /**
-     * The remote-topology pre-flight rules (check::checkRemotePlan on
-     * exec::remotePlanFor) over the campaign the flags describe, for
-     * a controller to run before it waits for its fleet. Empty under
-     * --skip-preflight, like the campaign's own pre-flight.
-     */
-    check::DiagnosticSink remotePreflight() const;
-
-    /** Help text for the shared flags (aligned to the tools' style). */
-    static const char *usageText();
+    /** Spelling, "--threads". */
+    std::string name;
+    /** Value placeholder in the help ("N", "PATH"); empty for a bare
+     *  flag, which takes no value. */
+    std::string metavar;
+    /** Help text; each '\n' starts an indented continuation line. */
+    std::string help;
+    Binder bind;
 };
+
+using FlagTable = std::vector<Flag>;
+
+/** Binders. A Positive bound rejects zero. */
+enum class Bound
+{
+    Any,
+    Positive,
+};
+Binder setTo(bool &out, bool value);
+Binder unsignedInto(unsigned &out, Bound bound = Bound::Any);
+Binder uint64Into(std::uint64_t &out, Bound bound = Bound::Any);
+Binder sizeInto(std::size_t &out);
+Binder millisInto(std::chrono::milliseconds &out,
+                  Bound bound = Bound::Any);
+Binder doubleInto(double &out);
+/** A probability: in [0, 1], or in (0, 1) when @p open. */
+Binder fractionInto(double &out, bool open);
+Binder textInto(std::string &out);
+
+/**
+ * Rows shared by campaign and worker. --isolation accepts remote only
+ * when @p allowRemote; the caps reject zero (omit them to disable).
+ */
+Flag isolationFlag(exec::IsolationMode &mode, bool allowRemote);
+Flag memLimitFlag(std::uint64_t &memLimitMb);
+Flag hardDeadlineFlag(std::chrono::milliseconds &hardDeadline);
+Flag authTokenFileFlag(std::string &path);
+Flag injectLabelFlag(exec::FaultInjector &injector);
+
+/** Output paths of the campaign rows; empty = that sink disabled.
+ *  The tool constructs and owns the sinks themselves. */
+struct CampaignPaths
+{
+    std::string journal;
+    std::string metrics;
+    std::string trace;
+    std::string manifest;
+    std::string bench;
+    std::string stability;
+    /** Shared fleet token file; empty = authentication off. */
+    std::string authTokenFile;
+};
+
+/**
+ * The shared table of every flag that configures a campaign: rows
+ * bind into @p campaign (execution, fault policy, isolation,
+ * sampling, replication), into @p controller (listen endpoint,
+ * lease, heartbeat, session grace), and into @p paths. Sets the
+ * command-line session-grace default (5 s) on @p controller.
+ */
+FlagTable campaignFlags(exec::CampaignOptions &campaign,
+                        exec::net::ControllerOptions &controller,
+                        CampaignPaths &paths);
+
+/**
+ * The remote-topology pre-flight rules (check::checkRemotePlan) over
+ * a campaign and the controller options it will run with, for a
+ * controller to run before it binds and waits for its fleet. Empty
+ * under skipPreflight, like the campaign's own pre-flight.
+ */
+check::DiagnosticSink
+remotePreflight(const exec::CampaignOptions &campaign,
+                const exec::net::ControllerOptions &controller);
+
+/** Called with each argument that is not a flag. */
+using Positional = std::function<void(const std::string &arg)>;
+
+/**
+ * The parse loop: feed @p args (argv without argv[0]) through
+ * @p table. Accepts "--flag value" and "--flag=value"; rejects
+ * "=value" on a bare flag, a missing value, a value its binder
+ * refuses, an unknown option, and — without @p positional — any
+ * positional argument, each reported on stderr as "<program>: ...".
+ * False on any of those and on --help / -h.
+ */
+bool parseFlags(const FlagTable &table,
+                const std::vector<std::string> &args,
+                const std::string &program,
+                const Positional &positional = {});
+
+/** The --help text of @p table, one aligned entry per row plus
+ *  --help itself. */
+std::string renderHelp(const FlagTable &table);
+
+/**
+ * Print "usage: <argv0> <synopsis>", @p about, and the table's help
+ * to stderr. Returns 2, the usage-error exit code of every tool.
+ */
+int usage(const char *argv0, const char *synopsis, const char *about,
+          const FlagTable &table);
 
 } // namespace rigor::tools
 

@@ -44,7 +44,6 @@ using rigor::check::DesignCheckOptions;
 using rigor::check::Diagnostic;
 using rigor::check::DiagnosticSink;
 using rigor::check::Severity;
-using rigor::tools::ArgCursor;
 
 enum class FileKind
 {
@@ -68,98 +67,48 @@ struct CliOptions
     std::vector<std::pair<FileKind, std::string>> files;
 };
 
-int
-usage(const char *argv0)
+/** rigor_lint's table; --design/--spec/--stability set the kind of
+ *  the next file only. */
+rigor::tools::FlagTable
+lintTable(CliOptions &options, FileKind &nextKind)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [options] <file>...\n"
-        "\n"
-        "Lint exported CSV design matrices (*.csv) and experiment\n"
-        "spec files before any simulation spends cycles on them.\n"
-        "\n"
-        "options:\n"
-        "  --design               treat the next file as a CSV design\n"
-        "  --spec                 treat the next file as an experiment spec\n"
-        "  --stability            treat the next file as a stability report\n"
-        "  --foldover             require the exact foldover complement\n"
-        "  --no-pb                drop the Plackett-Burman shape checks\n"
-        "  --factors N            require exactly N factor columns\n"
-        "  --top-factors N        stability rules cover the top N factors\n"
-        "  --flip-threshold X     rank-flip probability that is an error\n"
-        "  --min-replicates N     replicate floor for stability reports\n"
-        "  --audit-parameter-space  lint the built-in Tables 6-8 space\n"
-        "  --list-rules           print every rule id with its default\n"
-        "                         severity and description, then exit\n"
-        "  --Werror               treat warnings as errors\n"
-        "  --quiet                print only errors\n"
-        "  --help                 show this help\n",
-        argv0);
-    return 2;
-}
-
-bool
-parseArgs(int argc, char **argv, CliOptions &options)
-{
-    ArgCursor args(argc, argv, "rigor_lint");
-    FileKind next_kind = FileKind::Auto;
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--design") {
-            next_kind = FileKind::Design;
-        } else if (arg == "--spec") {
-            next_kind = FileKind::Spec;
-        } else if (arg == "--stability") {
-            next_kind = FileKind::Stability;
-        } else if (arg == "--foldover") {
-            options.design.requireFoldover = true;
-        } else if (arg == "--no-pb") {
-            options.design.requirePlackettBurman = false;
-        } else if (arg == "--factors") {
-            const char *v = args.valueFor("--factors");
-            if (v == nullptr ||
-                !rigor::tools::parseSize(
-                    v, options.design.expectedFactors))
-                return false;
-        } else if (arg == "--top-factors") {
-            const char *v = args.valueFor("--top-factors");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.stability.topFactors))
-                return false;
-        } else if (arg == "--flip-threshold") {
-            const char *v = args.valueFor("--flip-threshold");
-            if (v == nullptr ||
-                !rigor::tools::parseDouble(
-                    v, options.stability.flipThreshold))
-                return false;
-        } else if (arg == "--min-replicates") {
-            const char *v = args.valueFor("--min-replicates");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.minReplicates))
-                return false;
-        } else if (arg == "--audit-parameter-space") {
-            options.auditParameterSpace = true;
-        } else if (arg == "--list-rules") {
-            options.listRules = true;
-        } else if (arg == "--Werror") {
-            options.warningsAsErrors = true;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else if (!arg.empty() && arg.front() == '-') {
-            std::fprintf(stderr, "rigor_lint: unknown option %s\n",
-                         arg.c_str());
-            return false;
-        } else {
-            options.files.emplace_back(next_kind, arg);
-            next_kind = FileKind::Auto;
-        }
-    }
-    return options.auditParameterSpace || options.listRules ||
-           !options.files.empty();
+    namespace tools = rigor::tools;
+    const auto kind = [&nextKind](FileKind fileKind) -> tools::Binder {
+        return [&nextKind, fileKind](const std::string &) {
+            nextKind = fileKind;
+            return std::string();
+        };
+    };
+    return {
+        {"--design", "", "treat the next file as a CSV design",
+         kind(FileKind::Design)},
+        {"--spec", "", "treat the next file as an experiment spec",
+         kind(FileKind::Spec)},
+        {"--stability", "", "treat the next file as a stability report",
+         kind(FileKind::Stability)},
+        {"--foldover", "", "require the exact foldover complement",
+         tools::setTo(options.design.requireFoldover, true)},
+        {"--no-pb", "", "drop the Plackett-Burman shape checks",
+         tools::setTo(options.design.requirePlackettBurman, false)},
+        {"--factors", "N", "require exactly N factor columns",
+         tools::sizeInto(options.design.expectedFactors)},
+        {"--top-factors", "N", "stability rules cover the top N factors",
+         tools::unsignedInto(options.stability.topFactors)},
+        {"--flip-threshold", "X", "rank-flip probability that is an error",
+         tools::doubleInto(options.stability.flipThreshold)},
+        {"--min-replicates", "N", "replicate floor for stability reports",
+         tools::unsignedInto(options.minReplicates)},
+        {"--audit-parameter-space", "", "lint the built-in Tables 6-8 space",
+         tools::setTo(options.auditParameterSpace, true)},
+        {"--list-rules", "",
+         "print every rule id with its default\n"
+         "severity and description, then exit",
+         tools::setTo(options.listRules, true)},
+        {"--Werror", "", "treat warnings as errors",
+         tools::setTo(options.warningsAsErrors, true)},
+        {"--quiet", "", "print only errors",
+         tools::setTo(options.quiet, true)},
+    };
 }
 
 const char *
@@ -211,8 +160,21 @@ int
 main(int argc, char **argv)
 {
     CliOptions options;
-    if (!parseArgs(argc, argv, options))
-        return usage(argv[0]);
+    FileKind next_kind = FileKind::Auto;
+    const rigor::tools::FlagTable table = lintTable(options, next_kind);
+    const bool parsed = rigor::tools::parseFlags(
+        table, std::vector<std::string>(argv + 1, argv + argc),
+        "rigor_lint", [&](const std::string &file) {
+            options.files.emplace_back(next_kind, file);
+            next_kind = FileKind::Auto;
+        });
+    if (!parsed || (!options.auditParameterSpace && !options.listRules &&
+                    options.files.empty()))
+        return rigor::tools::usage(
+            argv[0], "[options] <file>...",
+            "Lint exported CSV design matrices (*.csv) and experiment\n"
+            "spec files before any simulation spends cycles on them.\n",
+            table);
 
     if (options.listRules)
         return listRules();

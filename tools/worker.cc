@@ -53,8 +53,7 @@
 namespace
 {
 
-using rigor::exec::FaultKind;
-using rigor::tools::ArgCursor;
+namespace tools = rigor::tools;
 
 /** Set by the SIGTERM handler; watched by the worker's heartbeat
  *  thread, which announces the drain to the controller. */
@@ -66,166 +65,47 @@ requestDrain(int)
     g_drainRequested.store(true);
 }
 
+/** Everything worker's flag table binds into. */
 struct CliOptions
 {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    bool haveConnect = false;
-    unsigned slots = 1;
-    std::string name;
+    rigor::exec::net::RemoteWorkerOptions remote;
     rigor::exec::IsolationMode isolation =
         rigor::exec::IsolationMode::Thread;
-    std::uint64_t memLimitMb = 0;
-    unsigned hardDeadlineMs = 0;
-    /** Reconnect-and-resume tries after a lost connection. */
-    unsigned reconnect = 0;
-    /** File holding the shared fleet auth token; empty = none. */
+    /** Process isolation: the local sandbox pool's caps. */
+    rigor::exec::proc::ProcWorkerPool::Options pool;
     std::string authTokenFile;
-    struct LabelFault
-    {
-        std::string substring;
-        unsigned attempt;
-        FaultKind kind;
-    };
-    std::vector<LabelFault> injectLabel;
+    rigor::exec::FaultInjector injector;
 };
 
-int
-usage(const char *argv0)
+tools::FlagTable
+workerTable(CliOptions &cli)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s --connect HOST:PORT [options]\n"
-        "\n"
-        "Serve leased simulation jobs for a distributed campaign\n"
-        "controller (campaign --listen) until it shuts down.\n"
-        "\n"
-        "options:\n"
-        "  --connect HOST:PORT    controller endpoint (required)\n"
-        "  --slots N              concurrent jobs to hold (default 1)\n"
-        "  --name S               worker identity recorded as cell\n"
-        "                         provenance (default hostname:pid)\n"
-        "  --isolation MODE       thread | process; process forks a\n"
-        "                         local sandbox pool for the attempts\n"
-        "  --mem-limit-mb N       per-sandbox memory cap in MiB\n"
-        "  --hard-deadline-ms N   SIGKILL a sandbox attempt past this\n"
-        "  --reconnect N          after a lost connection, reconnect\n"
-        "                         and resume the session up to N\n"
-        "                         times (held leases hand back when\n"
-        "                         the controller's grace allows)\n"
-        "  --auth-token-file PATH shared fleet token answering the\n"
-        "                         controller's HMAC challenge\n"
-        "  --inject-label S:A:KIND  fault attempt A of jobs whose\n"
-        "                         label contains S (KIND: transient|\n"
-        "                         permanent|hang|segfault|abort|\n"
-        "                         busy-loop|alloc-bomb|kill|\n"
-        "                         drop-connection|stall-heartbeat|\n"
-        "                         corrupt-frame|partition|\n"
-        "                         reconnect-storm|slow-loris|\n"
-        "                         duplicate-session|token-mismatch)\n"
-        "  --help                 show this help\n",
-        argv0);
-    return 2;
-}
-
-bool
-parseArgs(int argc, char **argv, CliOptions &options)
-{
-    ArgCursor args(argc, argv, "worker");
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--connect") {
-            const char *v = args.valueFor("--connect");
-            if (v == nullptr ||
-                !rigor::tools::parseEndpoint(v, options.host,
-                                             options.port)) {
-                if (v != nullptr)
-                    std::fprintf(stderr,
-                                 "worker: bad --connect endpoint "
-                                 "%s (want HOST:PORT)\n",
-                                 v);
-                return false;
-            }
-            options.haveConnect = true;
-        } else if (arg == "--slots") {
-            const char *v = args.valueFor("--slots");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(v, options.slots) ||
-                options.slots == 0) {
-                if (v != nullptr)
-                    std::fprintf(stderr,
-                                 "worker: --slots must be a "
-                                 "positive count\n");
-                return false;
-            }
-        } else if (arg == "--name") {
-            const char *v = args.valueFor("--name");
-            if (v == nullptr)
-                return false;
-            options.name = v;
-        } else if (arg == "--isolation") {
-            const char *v = args.valueFor("--isolation");
-            if (v == nullptr)
-                return false;
-            if (!rigor::exec::parseIsolationMode(v,
-                                                 options.isolation) ||
-                options.isolation ==
-                    rigor::exec::IsolationMode::Remote) {
-                std::fprintf(stderr,
-                             "worker: unknown --isolation mode %s "
-                             "(want thread | process)\n",
-                             v);
-                return false;
-            }
-        } else if (arg == "--mem-limit-mb") {
-            const char *v = args.valueFor("--mem-limit-mb");
-            if (v == nullptr ||
-                !rigor::tools::parseUint64(v, options.memLimitMb))
-                return false;
-        } else if (arg == "--hard-deadline-ms") {
-            const char *v = args.valueFor("--hard-deadline-ms");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(
-                    v, options.hardDeadlineMs))
-                return false;
-        } else if (arg == "--reconnect") {
-            const char *v = args.valueFor("--reconnect");
-            if (v == nullptr ||
-                !rigor::tools::parseUnsigned(v, options.reconnect))
-                return false;
-        } else if (arg == "--auth-token-file") {
-            const char *v = args.valueFor("--auth-token-file");
-            if (v == nullptr)
-                return false;
-            options.authTokenFile = v;
-        } else if (arg == "--inject-label") {
-            const char *v = args.valueFor("--inject-label");
-            if (v == nullptr)
-                return false;
-            CliOptions::LabelFault fault{};
-            if (!rigor::tools::parseFaultSpec(v, fault.substring,
-                                              fault.attempt,
-                                              fault.kind)) {
-                std::fprintf(stderr,
-                             "worker: bad --inject-label spec %s\n",
-                             v);
-                return false;
-            }
-            options.injectLabel.push_back(std::move(fault));
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else {
-            std::fprintf(stderr, "worker: unknown option %s\n",
-                         arg.c_str());
-            return false;
-        }
-    }
-    if (!options.haveConnect || options.port == 0) {
-        std::fprintf(stderr,
-                     "worker: --connect HOST:PORT is required\n");
-        return false;
-    }
-    return true;
+    rigor::exec::net::RemoteWorkerOptions &remote = cli.remote;
+    return {
+        {"--connect", "HOST:PORT", "controller endpoint (required)",
+         [&remote](const std::string &value) {
+             return tools::parseEndpoint(value, remote.host, remote.port)
+                        ? std::string()
+                        : "want HOST:PORT";
+         }},
+        {"--slots", "N", "concurrent jobs to hold (default 1)",
+         tools::unsignedInto(remote.slots, tools::Bound::Positive)},
+        {"--name", "S",
+         "worker identity recorded as cell\n"
+         "provenance (default hostname:pid)",
+         tools::textInto(remote.name)},
+        tools::isolationFlag(cli.isolation, false),
+        tools::memLimitFlag(cli.pool.memLimitMb),
+        tools::hardDeadlineFlag(cli.pool.hardDeadline),
+        {"--reconnect", "N",
+         "after a lost connection, reconnect\n"
+         "and resume the session up to N\n"
+         "times (held leases hand back when\n"
+         "the controller's grace allows)",
+         tools::unsignedInto(remote.reconnectAttempts)},
+        tools::authTokenFileFlag(cli.authTokenFile),
+        tools::injectLabelFlag(cli.injector),
+    };
 }
 
 } // namespace
@@ -234,8 +114,20 @@ int
 main(int argc, char **argv)
 {
     CliOptions cli;
-    if (!parseArgs(argc, argv, cli))
-        return usage(argv[0]);
+    const tools::FlagTable table = workerTable(cli);
+    bool parsed = tools::parseFlags(
+        table, std::vector<std::string>(argv + 1, argv + argc), "worker");
+    if (parsed && cli.remote.port == 0) {
+        std::fprintf(stderr,
+                     "worker: --connect HOST:PORT is required\n");
+        parsed = false;
+    }
+    if (!parsed)
+        return tools::usage(
+            argv[0], "--connect HOST:PORT [options]",
+            "Serve leased simulation jobs for a distributed campaign\n"
+            "controller (campaign --listen) until it shuts down.\n",
+            table);
 
     try {
         // The attempt executor served to the controller: the
@@ -247,30 +139,18 @@ main(int argc, char **argv)
         std::unique_ptr<rigor::exec::proc::ProcWorkerPool> pool;
         if (cli.isolation ==
             rigor::exec::IsolationMode::Process) {
-            rigor::exec::proc::ProcWorkerPool::Options pool_opts;
-            pool_opts.workers = cli.slots;
-            pool_opts.memLimitMb = cli.memLimitMb;
-            pool_opts.hardDeadline =
-                std::chrono::milliseconds(cli.hardDeadlineMs);
+            cli.pool.workers = cli.remote.slots;
             pool = std::make_unique<
                 rigor::exec::proc::ProcWorkerPool>(
-                std::move(pool_opts));
+                std::move(cli.pool));
             simulate = pool->simulateFn();
         }
 
-        rigor::exec::FaultInjector injector;
-        for (const CliOptions::LabelFault &f : cli.injectLabel)
-            injector.addLabelFault(f.substring, f.attempt, f.kind);
-        if (injector.plannedFaults() != 0)
-            simulate = injector.wrap(std::move(simulate));
+        if (cli.injector.plannedFaults() != 0)
+            simulate = cli.injector.wrap(std::move(simulate));
 
-        rigor::exec::net::RemoteWorkerOptions opts;
-        opts.host = cli.host;
-        opts.port = cli.port;
-        opts.slots = cli.slots;
-        opts.name = cli.name;
+        rigor::exec::net::RemoteWorkerOptions &opts = cli.remote;
         opts.simulate = std::move(simulate);
-        opts.reconnectAttempts = cli.reconnect;
         opts.drainFlag = &g_drainRequested;
         if (!cli.authTokenFile.empty())
             opts.authToken =
@@ -280,7 +160,7 @@ main(int argc, char **argv)
         // Mid-session reconnects (with lease handback) happen inside
         // runRemoteWorker; this loop only retries the initial connect,
         // drawing on the same --reconnect budget.
-        unsigned connect_tries = cli.reconnect + 1;
+        unsigned connect_tries = opts.reconnectAttempts + 1;
         rigor::exec::net::RemoteWorkerSession session;
         while (true) {
             try {
