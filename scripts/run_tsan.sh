@@ -17,7 +17,8 @@ cmake --build --preset tsan -j "$(nproc)"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 die_after_fork=0"
 
 # Every suite under tests/doe, tests/methodology, and tests/exec, plus
-# the sampled screen (its job observer runs on the engine's workers) —
+# the sampled screen (its job observer runs on the engine's workers)
+# and the TCP fleet (controller and remote-worker threads) —
 # run straight from the gtest binary so one process exercises the
 # shared-engine paths end to end.
 ./build-tsan/tests/rigor_tests --gtest_filter="$(tr -d ' \n' <<'EOF'
@@ -33,7 +34,10 @@ CampaignDegradation.*:
 ProcProtocol.*:ProcWorkerPool.*:ProcCampaign.*:
 Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*:CellBatchMapping.*:Isolation/SharedEngineRestore.*:
-SampledScreen.*
+SampledScreen.*:
+NetProtocol.*:NetController.*:NetControllerDrill.*:NetAuth.*:
+NetAuthHandshake.*:NetSession.*:NetDrain.*:NetFuzz.*:NetSocket.*:
+RemoteCampaign.*
 EOF
 )"
 

@@ -17,6 +17,19 @@
 namespace rigor::exec
 {
 
+RunKey
+runKeyOf(const SimJob &job)
+{
+    RunKey key;
+    key.workload = job.workload->name;
+    key.config = job.config;
+    key.instructions = job.instructions;
+    key.warmupInstructions = job.warmupInstructions;
+    key.hookId = job.hookId;
+    key.samplingId = job.sampling.id();
+    return key;
+}
+
 std::string
 toString(RunSource source)
 {
@@ -199,15 +212,7 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
     const bool journaled = _journal != nullptr && job.cacheable();
     const bool keyed =
         (use_cache || journaled || _observer) && job.cacheable();
-    RunKey key;
-    if (keyed) {
-        key.workload = job.workload->name;
-        key.config = job.config;
-        key.instructions = job.instructions;
-        key.warmupInstructions = job.warmupInstructions;
-        key.hookId = job.hookId;
-        key.samplingId = job.sampling.id();
-    }
+    const RunKey key = keyed ? runKeyOf(job) : RunKey{};
 
     RunOutcome outcome;
     if (_observer && keyed)
@@ -308,23 +313,14 @@ SimulationEngine::runOne(const SimJob &job, std::size_t index,
             return outcome;
         } catch (const BatchAbort &) {
             throw; // infrastructure failure: cancel the whole batch
-        } catch (const TransientFault &e) {
-            failure.kind = FailureKind::Transient;
-            failure.message = e.what();
-            retryable = true;
-        } catch (const DeadlineExceeded &e) {
-            failure.kind = FailureKind::Timeout;
-            failure.message = e.what();
-            retryable = true;
-        } catch (const ResourceExhausted &e) {
-            // The same run would exhaust the same cap again.
-            failure.kind = FailureKind::Resource;
-            failure.message = e.what();
         } catch (const std::exception &e) {
-            // A deterministic simulator rethrows the same error on
-            // every retry; don't burn attempts on it.
-            failure.kind = FailureKind::Permanent;
+            // Only transient faults and timeouts are retried: the same
+            // run would exhaust the same cap again, and a deterministic
+            // simulator rethrows the same error on every retry.
+            failure.kind = classifyCurrentFault();
             failure.message = e.what();
+            retryable = failure.kind == FailureKind::Transient ||
+                        failure.kind == FailureKind::Timeout;
         }
         failure.attempts = attempt;
         if (!retryable || attempt == max_attempts)

@@ -108,6 +108,13 @@ struct SimJob
 };
 
 /**
+ * The run-cache / journal identity of @p job (workload name,
+ * configuration, run lengths, hook and sampling identities). Only
+ * meaningful for a cacheable job with a workload.
+ */
+RunKey runKeyOf(const SimJob &job);
+
+/**
  * Executes one attempt of one job. Replaceable via EngineOptions for
  * fault injection and lightweight test stubs; implementations should
  * poll ctx.checkDeadline() if they run long. Must be thread-safe.

@@ -21,6 +21,22 @@ toString(FailureKind kind)
     return "?";
 }
 
+FailureKind
+classifyCurrentFault()
+{
+    try {
+        throw;
+    } catch (const TransientFault &) {
+        return FailureKind::Transient;
+    } catch (const DeadlineExceeded &) {
+        return FailureKind::Timeout;
+    } catch (const ResourceExhausted &) {
+        return FailureKind::Resource;
+    } catch (...) {
+        return FailureKind::Permanent;
+    }
+}
+
 std::chrono::milliseconds
 FaultPolicy::backoffFor(unsigned k) const
 {

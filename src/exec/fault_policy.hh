@@ -28,10 +28,10 @@
  * instructions — so a wedged *real* simulation surfaces as a
  * diagnosable timeout. Truly non-cooperative code (a tight loop that
  * never polls, a crash, a runaway allocation) is the job of the
- * process-isolated backend in exec/proc/: its monitor thread SIGKILLs
- * a sandbox worker past its hard deadline and the death is classified
- * back into this same taxonomy, so retries, quarantine, and journal
- * resume behave identically under either isolation mode.
+ * process-isolated backend in exec/proc/: the thread waiting on a
+ * sandbox worker SIGKILLs it past its hard deadline and the death is
+ * classified back into this same taxonomy, so retries, quarantine,
+ * and journal resume behave identically under either isolation mode.
  */
 
 #ifndef RIGOR_EXEC_FAULT_POLICY_HH
@@ -109,6 +109,15 @@ enum class FailureKind
 /** Display name ("transient" / "permanent" / "timeout" /
  *  "resource"). */
 std::string toString(FailureKind kind);
+
+/**
+ * The taxonomy above as a function: the FailureKind of the exception
+ * being handled. Call only from inside a catch handler (it rethrows
+ * the current exception to match it); anything outside the fault
+ * classes is Permanent. The engine's retry loop and the attempt codec
+ * (exec/proc/protocol.hh) both classify through it.
+ */
+FailureKind classifyCurrentFault();
 
 /** Per-job fault-handling knobs of one engine batch. */
 struct FaultPolicy

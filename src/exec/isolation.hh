@@ -28,7 +28,8 @@ enum class IsolationMode
 {
     /** In-process, on the engine's worker threads (the default). */
     Thread,
-    /** In forked sandbox workers behind pipe IPC (crash-proof). */
+    /** In forked sandbox workers, one Unix socket each
+     *  (crash-proof). */
     Process,
     /** On a TCP worker fleet behind a lease-granting controller. */
     Remote,

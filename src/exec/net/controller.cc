@@ -345,19 +345,8 @@ double
 CampaignController::execute(const SimJob &job,
                             const AttemptContext &ctx)
 {
-    proc::JobRequest request;
-    request.profile = *job.workload;
-    request.config = job.config;
-    request.instructions = job.instructions;
-    request.warmupInstructions = job.warmupInstructions;
-    request.hasHook = static_cast<bool>(job.makeHook);
-    request.label = job.label;
-    request.jobIndex = ctx.jobIndex;
-    request.attempt = ctx.attempt;
-    request.deadlineBudget = ctx.deadlineBudget;
-    request.sampling = job.sampling;
     proc::Writer out;
-    request.serialize(out);
+    proc::makeRequest(job, ctx).serialize(out);
 
     auto pending = std::make_shared<Pending>();
     pending->request = out.bytes();
@@ -384,23 +373,10 @@ CampaignController::execute(const SimJob &job,
         served_by = std::move(pending->servedBy);
     }
 
-    switch (result.status) {
-      case proc::ResultStatus::Ok:
-        if (ctx.sampleOut != nullptr && result.hasSample)
-            *ctx.sampleOut = result.sample;
-        if (ctx.hostOut != nullptr)
-            *ctx.hostOut = served_by;
-        return result.cycles;
-      case proc::ResultStatus::Transient:
-        throw TransientFault(result.message);
-      case proc::ResultStatus::Deadline:
-        throw DeadlineExceeded(result.message);
-      case proc::ResultStatus::Resource:
-        throw ResourceExhausted(result.message);
-      case proc::ResultStatus::Permanent:
-        break;
-    }
-    throw PermanentFault(result.message);
+    const double cycles = proc::resultCycles(result, ctx);
+    if (ctx.hostOut != nullptr)
+        *ctx.hostOut = served_by;
+    return cycles;
 }
 
 void

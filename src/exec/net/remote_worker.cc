@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -300,76 +301,32 @@ class Session
 
     void runAssignment(const Assignment &assignment)
     {
-        const proc::JobRequest &request = assignment.request;
-        proc::JobResult result;
-        const auto begin = std::chrono::steady_clock::now();
-        try {
-            result = executeRequest(request);
-        } catch (const NetDrillFault &drill) {
-            if (!performDrill(drill, assignment))
+        // A network drill raised by the executor is caught on its way
+        // into the codec's classification and acted out on the live
+        // connection instead.
+        std::optional<NetDrillFault> drill;
+        const SimulateFn simulate = [this, &drill](
+                                        const SimJob &job,
+                                        const AttemptContext &ctx) {
+            try {
+                return _options.simulate
+                           ? _options.simulate(job, ctx)
+                           : SimulationEngine::simulateJob(job, ctx);
+            } catch (const NetDrillFault &fault) {
+                drill.emplace(fault);
+                throw;
+            }
+        };
+        proc::JobResult result = proc::runRequest(
+            assignment.request, simulate, _options.hookFactory);
+        if (drill) {
+            if (!performDrill(*drill, assignment))
                 return; // drill consumed the response frame
             result.status = proc::ResultStatus::Transient;
-            result.message = std::string(drill.what()) +
+            result.message = std::string(drill->what()) +
                              " — stalled worker answered late";
-        } catch (const TransientFault &e) {
-            result.status = proc::ResultStatus::Transient;
-            result.message = e.what();
-        } catch (const DeadlineExceeded &e) {
-            result.status = proc::ResultStatus::Deadline;
-            result.message = e.what();
-        } catch (const ResourceExhausted &e) {
-            result.status = proc::ResultStatus::Resource;
-            result.message = e.what();
-        } catch (const std::exception &e) {
-            result.status = proc::ResultStatus::Permanent;
-            result.message = e.what();
         }
-        result.wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
         sendResult(assignment.leaseId, result);
-    }
-
-    proc::JobResult executeRequest(const proc::JobRequest &request)
-    {
-        SimJob job;
-        job.workload = &request.profile;
-        job.config = request.config;
-        job.instructions = request.instructions;
-        job.warmupInstructions = request.warmupInstructions;
-        job.sampling = request.sampling;
-        job.label = request.label;
-        if (request.hasHook) {
-            if (!_options.hookFactory)
-                throw PermanentFault(
-                    "worker has no hook factory for hooked job '" +
-                    request.label + "'");
-            job.makeHook = [this, &request] {
-                return _options.hookFactory(request.profile);
-            };
-        }
-
-        AttemptContext ctx;
-        ctx.jobIndex = request.jobIndex;
-        ctx.attempt = request.attempt;
-        ctx.deadlineBudget = request.deadlineBudget;
-        if (ctx.hasDeadline())
-            ctx.deadline = std::chrono::steady_clock::now() +
-                           ctx.deadlineBudget;
-        sample::SampleSummary summary;
-        ctx.sampleOut = &summary;
-
-        proc::JobResult result;
-        result.cycles = _options.simulate
-                            ? _options.simulate(job, ctx)
-                            : SimulationEngine::simulateJob(job, ctx);
-        result.status = proc::ResultStatus::Ok;
-        if (request.sampling.enabled) {
-            result.hasSample = true;
-            result.sample = summary;
-        }
-        return result;
     }
 
     /** Park the job for the next (resumed) connection and slam this
@@ -491,18 +448,13 @@ class Session
             proc::Writer body;
             body.pod(assignment.leaseId);
             result.serialize(body);
-            std::vector<std::byte> payload;
-            payload.reserve(1 + body.bytes().size());
-            payload.push_back(
-                static_cast<std::byte>(MsgType::JobDone));
-            payload.insert(payload.end(), body.bytes().begin(),
-                           body.bytes().end());
             const auto size =
-                static_cast<std::uint32_t>(payload.size());
-            std::vector<char> frame(sizeof(size) + payload.size());
+                static_cast<std::uint32_t>(1 + body.bytes().size());
+            std::vector<char> frame(sizeof(size) + size);
             std::memcpy(frame.data(), &size, sizeof(size));
-            std::memcpy(frame.data() + sizeof(size), payload.data(),
-                        payload.size());
+            frame[sizeof(size)] = static_cast<char>(MsgType::JobDone);
+            std::memcpy(frame.data() + sizeof(size) + 1,
+                        body.bytes().data(), body.bytes().size());
             const std::lock_guard<std::mutex> write(_writeMutex);
             for (std::size_t at = 0; at < frame.size();) {
                 const std::size_t chunk =

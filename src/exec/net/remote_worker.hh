@@ -10,8 +10,9 @@
  * pull JobAssign frames off the session queue, run them through the
  * configured SimulateFn (the in-process simulator by default; a
  * ProcWorkerPool dispatch function for sandboxed execution; a
- * FaultInjector wrap for drills), and answer JobDone with the same
- * classified JobResult the sandbox pipes use.
+ * FaultInjector wrap for drills) through the attempt codec
+ * (proc::runRequest), and answer JobDone with the same classified
+ * JobResult a sandbox child sends.
  *
  * Session resume. The worker presents a durable session id in every
  * Hello. When the connection breaks mid-lease (network flake, drill)
@@ -51,7 +52,7 @@
 #include <string>
 
 #include "exec/engine.hh"
-#include "exec/proc/sandbox_worker.hh"
+#include "exec/proc/protocol.hh"
 
 namespace rigor::exec::net
 {

@@ -3,7 +3,7 @@
  * Minimal TCP plumbing for the distributed campaign backend.
  *
  * The controller and the workers speak the same length-prefixed frame
- * protocol as the sandbox pipes (exec/proc/protocol.hh) — a connected
+ * protocol as the sandbox sockets (exec/proc/protocol.hh) — a connected
  * TCP socket is just another fd to writeFrame/readFrame — so all this
  * layer adds is listen/accept/connect with errno turned into
  * exceptions, plus an OwnedFd RAII guard so every error path closes

@@ -13,7 +13,7 @@ namespace
 
 /**
  * Write exactly @p size bytes to a socket, riding out EINTR and
- * short writes. Unlike the pipe-oriented proc::writeFrame, this
+ * short writes. Unlike proc::writeFrame (a plain write()), this
  * sends with MSG_NOSIGNAL: a peer that vanished mid-frame surfaces
  * as an EPIPE ProtocolError the caller can catch, not as a SIGPIPE
  * that kills the whole controller (or worker) process.

@@ -2,16 +2,16 @@
  * @file
  * Message layer of the controller <-> worker TCP protocol.
  *
- * Transport framing is exactly the sandbox pipe protocol
+ * Transport framing is exactly the sandbox socket protocol
  * (exec/proc/protocol.hh): length-prefixed frames written and read
  * with the same EINTR-safe, bounds-checked, size-capped code — a TCP
- * socket is just another fd. This header adds what pipes never
+ * socket is just another fd. This header adds what sandboxes never
  * needed:
  *
- *  - a one-byte message tag on every frame (pipes are strictly
- *    request/response; a socket multiplexes job traffic with
+ *  - a one-byte message tag on every frame (a sandbox is strictly
+ *    request/response; a TCP session multiplexes job traffic with
  *    heartbeats and shutdown);
- *  - a versioned handshake. The two pipe ends are always the same
+ *  - a versioned handshake. The two sandbox ends are always the same
  *    forked binary; two TCP ends are not, so a worker opens with
  *    Hello{magic, version, slots, name, session id, held leases}
  *    and the controller answers HelloAck{accepted, lease,

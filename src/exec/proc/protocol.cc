@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include "exec/fault_policy.hh"
+
 namespace rigor::exec::proc
 {
 
@@ -21,7 +23,7 @@ writeAll(int fd, const void *data, std::size_t size)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            throw ProtocolError(std::string("sandbox pipe write: ") +
+            throw ProtocolError(std::string("frame write: ") +
                                 std::strerror(errno));
         }
         at += n;
@@ -46,7 +48,7 @@ readUpTo(int fd, void *data, std::size_t size)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            throw ProtocolError(std::string("sandbox pipe read: ") +
+            throw ProtocolError(std::string("frame read: ") +
                                 std::strerror(errno));
         }
         if (n == 0)
@@ -118,6 +120,22 @@ readProfile(Reader &in)
     return p;
 }
 
+ResultStatus
+statusOf(FailureKind kind)
+{
+    switch (kind) {
+      case FailureKind::Transient:
+        return ResultStatus::Transient;
+      case FailureKind::Timeout:
+        return ResultStatus::Deadline;
+      case FailureKind::Resource:
+        return ResultStatus::Resource;
+      case FailureKind::Permanent:
+        break;
+    }
+    return ResultStatus::Permanent;
+}
+
 } // namespace
 
 void
@@ -125,9 +143,9 @@ JobRequest::serialize(Writer &out) const
 {
     writeProfile(out, profile);
     static_assert(std::is_trivially_copyable_v<sim::ProcessorConfig>,
-                  "ProcessorConfig is memcpy-serialized over the "
-                  "sandbox pipe; a non-trivially-copyable member "
-                  "needs explicit field-by-field handling here");
+                  "ProcessorConfig is memcpy-serialized; a "
+                  "non-trivially-copyable member needs explicit "
+                  "field-by-field handling here");
     out.pod(config);
     out.pod(instructions);
     out.pod(warmupInstructions);
@@ -144,6 +162,10 @@ JobRequest::deserialize(Reader &in)
 {
     JobRequest req;
     req.profile = readProfile(in);
+    static_assert(std::is_standard_layout_v<sim::ProcessorConfig> &&
+                  std::is_standard_layout_v<sample::SamplingOptions>,
+                  "bool members are validated at their offsetof");
+    in.expectBoolAt(offsetof(sim::ProcessorConfig, l1iNextLinePrefetch));
     req.config = in.pod<sim::ProcessorConfig>();
     req.instructions = in.pod<std::uint64_t>();
     req.warmupInstructions = in.pod<std::uint64_t>();
@@ -153,6 +175,7 @@ JobRequest::deserialize(Reader &in)
     req.attempt = in.pod<std::uint32_t>();
     req.deadlineBudget =
         std::chrono::milliseconds(in.pod<std::int64_t>());
+    in.expectBoolAt(offsetof(sample::SamplingOptions, enabled));
     req.sampling = in.pod<sample::SamplingOptions>();
     return req;
 }
@@ -218,6 +241,101 @@ readFrame(int fd, std::vector<std::byte> &payload)
                 " bytes before EOF");
     }
     return true;
+}
+
+JobRequest
+makeRequest(const SimJob &job, const AttemptContext &ctx)
+{
+    if (job.workload == nullptr)
+        throw PermanentFault("job '" + job.label +
+                             "' carries no workload");
+    JobRequest request;
+    request.profile = *job.workload;
+    request.config = job.config;
+    request.instructions = job.instructions;
+    request.warmupInstructions = job.warmupInstructions;
+    request.hasHook = static_cast<bool>(job.makeHook);
+    request.label = job.label;
+    request.jobIndex = ctx.jobIndex;
+    request.attempt = ctx.attempt;
+    request.deadlineBudget = ctx.deadlineBudget;
+    request.sampling = job.sampling;
+    return request;
+}
+
+JobResult
+runRequest(const JobRequest &request, const SimulateFn &simulate,
+           const SandboxHookFactory &hook_factory)
+{
+    SimJob job;
+    job.workload = &request.profile;
+    job.config = request.config;
+    job.instructions = request.instructions;
+    job.warmupInstructions = request.warmupInstructions;
+    job.sampling = request.sampling;
+    job.label =
+        !request.label.empty() ? request.label : request.profile.name;
+
+    JobResult result;
+    if (request.hasHook) {
+        if (!hook_factory) {
+            result.status = ResultStatus::Permanent;
+            result.message = "worker has no hook factory to rebuild "
+                             "the enhancement hook of job '" +
+                             job.label + "'";
+            return result;
+        }
+        job.makeHook = [&hook_factory, &request] {
+            return hook_factory(request.profile);
+        };
+    }
+
+    AttemptContext ctx;
+    ctx.jobIndex = static_cast<std::size_t>(request.jobIndex);
+    ctx.attempt = request.attempt;
+    ctx.deadlineBudget = request.deadlineBudget;
+    if (ctx.hasDeadline())
+        ctx.deadline =
+            std::chrono::steady_clock::now() + request.deadlineBudget;
+    sample::SampleSummary summary;
+    ctx.sampleOut = &summary;
+
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        result.cycles = simulate(job, ctx);
+        result.status = ResultStatus::Ok;
+        if (request.sampling.enabled) {
+            result.hasSample = true;
+            result.sample = summary;
+        }
+    } catch (const std::exception &e) {
+        result.status = statusOf(classifyCurrentFault());
+        result.message = e.what();
+    }
+    result.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    return result;
+}
+
+double
+resultCycles(const JobResult &result, const AttemptContext &ctx)
+{
+    switch (result.status) {
+      case ResultStatus::Ok:
+        if (result.hasSample && ctx.sampleOut != nullptr)
+            *ctx.sampleOut = result.sample;
+        return result.cycles;
+      case ResultStatus::Transient:
+        throw TransientFault(result.message);
+      case ResultStatus::Deadline:
+        throw DeadlineExceeded(result.message);
+      case ResultStatus::Resource:
+        throw ResourceExhausted(result.message);
+      case ResultStatus::Permanent:
+        break;
+    }
+    throw PermanentFault(result.message);
 }
 
 } // namespace rigor::exec::proc

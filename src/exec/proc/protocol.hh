@@ -1,28 +1,38 @@
 /**
  * @file
- * Wire protocol between the campaign parent and its sandbox workers.
+ * Wire protocol and attempt codec between the campaign parent and the
+ * workers that run its attempts.
  *
- * One sandbox worker is a forked child connected by two pipes. Every
- * message is a length-prefixed frame (u32 payload size, then the
- * payload), written and read with EINTR-safe full-transfer loops —
- * a short read at a frame boundary is a clean EOF (the peer died or
- * closed), a short read inside a frame is a torn protocol error.
+ * One sandbox worker is a forked child connected by one Unix stream
+ * socket. Every message is a length-prefixed frame (u32 payload size,
+ * then the payload), written and read with EINTR-safe full-transfer
+ * loops — a short read at a frame boundary is a clean EOF (the peer
+ * died or closed), a short read inside a frame is a torn protocol
+ * error.
  *
  * Payloads are flat byte buffers built by Writer / consumed by
  * Reader: trivially-copyable values are memcpy'd (ProcessorConfig is
  * statically asserted to qualify), strings are u32-length-prefixed,
  * and WorkloadProfile — which owns a std::string name — is serialized
- * field by field. Both ends are the same binary (fork, no exec), so
- * the format never crosses an ABI boundary and needs no versioning.
+ * field by field. A bool is only ever decoded from a 0 or 1 byte,
+ * including the bool members of whole-struct pods; any other byte is
+ * a ProtocolError, never undefined behaviour. Both ends of a sandbox
+ * socket are the same binary (fork, no exec); the TCP fleet
+ * (exec/net/wire.hh) versions the same payloads in its handshake.
  *
  * A JobRequest ships everything one attempt needs: the workload
  * profile, the processor configuration, run lengths, the attempt
  * identity, the cooperative deadline budget, and whether to rebuild
- * the enhancement hook from the pool's hook factory. A JobResult is
- * either measured cycles (plus the child's wall time) or a classified
- * failure message. A worker that cannot even allocate the failure
- * message (memory-limit exhaustion) skips the result frame and exits
- * with kExitOom instead.
+ * the enhancement hook from the worker's hook factory. A JobResult is
+ * either measured cycles (plus the worker's wall time) or a
+ * classified failure message. A sandbox worker that cannot even
+ * allocate the failure message (memory-limit exhaustion) skips the
+ * result frame and exits with kExitOom instead.
+ *
+ * The attempt codec — makeRequest, runRequest, resultCycles — is the
+ * one translation between a SimJob attempt and these messages, shared
+ * by the sandbox pool and its children and by the TCP controller and
+ * its remote workers.
  */
 
 #ifndef RIGOR_EXEC_PROC_PROTOCOL_HH
@@ -32,19 +42,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "exec/engine.hh"
 #include "sample/sampling.hh"
 #include "sim/config.hh"
+#include "sim/core.hh"
 #include "trace/workload_profile.hh"
 
 namespace rigor::exec::proc
 {
 
-/** A torn frame or hard pipe I/O error (not a clean peer EOF). */
+/** A torn or malformed frame, or a hard I/O error (not a clean peer
+ *  EOF). */
 class ProtocolError : public std::runtime_error
 {
     using std::runtime_error::runtime_error;
@@ -53,9 +68,9 @@ class ProtocolError : public std::runtime_error
 /**
  * A frame cut off mid-transfer: the peer died or closed inside a
  * frame instead of at a frame boundary. The message always carries
- * the got/expected byte counts, so a truncated final frame (torn
- * pipe, half-written socket, corrupt-frame drill) is diagnosable
- * from the log alone. Shared by the pipe (exec/proc) and TCP
+ * the got/expected byte counts, so a truncated final frame (dead
+ * sandbox, half-written socket, corrupt-frame drill) is diagnosable
+ * from the log alone. Shared by the sandbox (exec/proc) and TCP
  * (exec/net) transports.
  */
 class TruncatedFrame : public ProtocolError
@@ -64,8 +79,8 @@ class TruncatedFrame : public ProtocolError
 };
 
 /**
- * Upper bound on one frame's payload. Pipe peers are forked from the
- * same binary and never send more than a JobRequest, but a TCP peer
+ * Upper bound on one frame's payload. Sandbox peers are forked from
+ * the same binary and never send more than a JobRequest, but a TCP peer
  * is untrusted input: without the bound, a corrupt or hostile length
  * prefix would make readFrame allocate gigabytes before the first
  * payload byte arrives.
@@ -131,6 +146,8 @@ class Reader
     {
         static_assert(std::is_trivially_copyable_v<T>);
         need(sizeof(T));
+        if constexpr (std::is_same_v<T, bool>)
+            expectBoolAt(0);
         T value;
         std::memcpy(&value, _bytes.data() + _at, sizeof(T));
         _at += sizeof(T);
@@ -145,6 +162,23 @@ class Reader
             reinterpret_cast<const char *>(_bytes.data() + _at), size);
         _at += size;
         return value;
+    }
+
+    /**
+     * Throw ProtocolError unless the byte @p offset bytes past the
+     * cursor is 0 or 1. Copying any other byte into a bool is
+     * undefined behaviour: pod<bool>() checks its own byte, and a
+     * whole-struct pod must check each bool member (at its offsetof)
+     * before the copy.
+     */
+    void expectBoolAt(std::size_t offset) const
+    {
+        need(offset + 1);
+        const auto byte = std::to_integer<unsigned>(_bytes[_at + offset]);
+        if (byte > 1)
+            throw ProtocolError("invalid bool byte " +
+                                std::to_string(byte) + " at offset " +
+                                std::to_string(_at + offset));
     }
 
     bool done() const { return _at == _bytes.size(); }
@@ -165,14 +199,14 @@ class Reader
     std::size_t _at = 0;
 };
 
-/** One attempt shipped to a sandbox worker. */
+/** One attempt shipped to a sandbox or remote worker. */
 struct JobRequest
 {
     trace::WorkloadProfile profile;
     sim::ProcessorConfig config;
     std::uint64_t instructions = 0;
     std::uint64_t warmupInstructions = 0;
-    /** Rebuild the enhancement hook via the pool's hook factory. */
+    /** Rebuild the enhancement hook via the worker's hook factory. */
     bool hasHook = false;
     /** Failure-context label ("gzip, design row 17"); shipped so
      *  label-keyed fault drills match inside the sandbox too. */
@@ -211,8 +245,9 @@ struct JobResult
 
 /**
  * Write one frame (u32 length + payload); throws ProtocolError on any
- * I/O failure, including EPIPE from a dead peer (the pool ignores
- * SIGPIPE so the error surfaces here instead of killing the process).
+ * I/O failure, including EPIPE from a dead peer (the pool and the TCP
+ * endpoints suppress SIGPIPE so the error surfaces here instead of
+ * killing the process).
  */
 void writeFrame(int fd, const std::vector<std::byte> &payload);
 
@@ -222,6 +257,42 @@ void writeFrame(int fd, const std::vector<std::byte> &payload);
  * torn frame or hard I/O error.
  */
 bool readFrame(int fd, std::vector<std::byte> &payload);
+
+/**
+ * Builds the enhancement hook for one run on the executing side (same
+ * shape as methodology::HookFactory; duplicated here because exec
+ * must not depend on the methodology layer). Hooks are rebuilt from
+ * this instead of shipping closures to another process.
+ */
+using SandboxHookFactory =
+    std::function<std::unique_ptr<sim::ExecutionHook>(
+        const trace::WorkloadProfile &profile)>;
+
+/**
+ * The request shipping attempt @p ctx of @p job. Throws
+ * PermanentFault for a job without a workload.
+ */
+JobRequest makeRequest(const SimJob &job, const AttemptContext &ctx);
+
+/**
+ * Run @p request on the executing side: rebuild the job (an empty
+ * label falls back to the profile name) and its hook from
+ * @p hook_factory, arm the cooperative deadline, call @p simulate
+ * (must be non-empty), capture the sampled-run summary, and classify
+ * any std::exception into the result's status
+ * (classifyCurrentFault). A hooked request without a hook factory
+ * answers Permanent without simulating.
+ */
+JobResult runRequest(const JobRequest &request,
+                     const SimulateFn &simulate,
+                     const SandboxHookFactory &hook_factory);
+
+/**
+ * The measured cycles of an Ok @p result (copying its sample into
+ * ctx.sampleOut when both exist), or throw the fault its status
+ * names.
+ */
+double resultCycles(const JobResult &result, const AttemptContext &ctx);
 
 } // namespace rigor::exec::proc
 

@@ -1,9 +1,19 @@
 #include "exec/proc/worker_pool.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <csignal>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
+#include <dirent.h>
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,6 +26,14 @@ namespace rigor::exec::proc
 
 namespace
 {
+
+/** Parent-side handle of one forked sandbox worker. */
+struct SandboxWorker
+{
+    pid_t pid = -1;
+    /** Parent's end of the worker's socket. */
+    int fd = -1;
+};
 
 std::string
 signalName(int sig)
@@ -59,69 +77,182 @@ std::string
 jobIdentity(const SimJob &job)
 {
     const std::string label =
-        !job.label.empty()
-            ? "'" + job.label + "'"
-            : (job.workload != nullptr ? "'" + job.workload->name + "'"
-                                       : "<unlabeled job>");
-    if (!job.cacheable() || job.workload == nullptr)
+        "'" + (!job.label.empty() ? job.label : job.workload->name) +
+        "'";
+    if (!job.cacheable())
         return label;
-    RunKey key;
-    key.workload = job.workload->name;
-    key.config = job.config;
-    key.instructions = job.instructions;
-    key.warmupInstructions = job.warmupInstructions;
-    key.hookId = job.hookId;
-    key.samplingId = job.sampling.id();
-    return label + " (run key " + key.toString() + ")";
+    return label + " (run key " + runKeyOf(job).toString() + ")";
+}
+
+/**
+ * Close every inherited descriptor except stdio and the child's own
+ * socket end. Scans /proc/self/fd; the scan's own directory fd is
+ * skipped and closed by closedir. Without this sweep a child forked
+ * while siblings exist keeps their sockets (and the journal fd, trace
+ * files, ...) open, so a sibling's crash would never surface as EOF
+ * in the parent.
+ */
+void
+closeInheritedFds(int keep)
+{
+    DIR *dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr)
+        return; // best effort; /proc is always there on target hosts
+    const int dir_fd = ::dirfd(dir);
+    while (const dirent *entry = ::readdir(dir)) {
+        char *end = nullptr;
+        const long fd = std::strtol(entry->d_name, &end, 10);
+        if (end == entry->d_name || *end != '\0')
+            continue;
+        if (fd <= 2 || fd == dir_fd || fd == keep)
+            continue;
+        ::close(static_cast<int>(fd));
+    }
+    ::closedir(dir);
+}
+
+/**
+ * The child main loop: answer JobRequest frames on @p fd until the
+ * parent closes its end. A std::bad_alloc from the executor means the
+ * RLIMIT_AS cap is exhausted; composing a failure message could throw
+ * again, so it is reported through the exit code instead. Anything
+ * the child cannot catch — SIGSEGV, SIGABRT, the kernel OOM killer,
+ * the watchdog's SIGKILL — is classified by the parent from the wait
+ * status.
+ */
+[[noreturn]] void
+serveChild(int fd, const ProcWorkerPool::Options &options)
+{
+    const SimulateFn simulate = [&options](const SimJob &job,
+                                           const AttemptContext &ctx) {
+        try {
+            return options.simulate(job, ctx);
+        } catch (const std::bad_alloc &) {
+            std::_Exit(kExitOom);
+        }
+    };
+    std::vector<std::byte> frame;
+    for (;;) {
+        try {
+            if (!readFrame(fd, frame))
+                std::_Exit(0); // the parent closed its end: shutdown
+            Reader reader(frame);
+            const JobResult result =
+                runRequest(JobRequest::deserialize(reader), simulate,
+                           options.hookFactory);
+            Writer writer;
+            result.serialize(writer);
+            writeFrame(fd, writer.bytes());
+        } catch (const ProtocolError &) {
+            std::_Exit(1); // torn request, or the parent is gone
+        }
+    }
+}
+
+/**
+ * Fork one sandbox worker on a fresh socketpair. The child drops
+ * every other inherited descriptor and applies the memory cap, so a
+ * runaway allocation dies as std::bad_alloc (kExitOom) or an OOM kill
+ * inside the sandbox, never by taking down the parent. Throws
+ * std::runtime_error if socketpair() or fork() fails.
+ */
+SandboxWorker
+spawnWorker(const ProcWorkerPool::Options &options)
+{
+    int ends[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, ends) != 0)
+        throw std::runtime_error(std::string("sandbox socketpair: ") +
+                                 std::strerror(errno));
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+        const int error = errno;
+        ::close(ends[0]);
+        ::close(ends[1]);
+        throw std::runtime_error(std::string("sandbox fork: ") +
+                                 std::strerror(error));
+    }
+    if (pid == 0) {
+        closeInheritedFds(ends[1]);
+        if (options.memLimitMb > 0) {
+            rlimit limit;
+            limit.rlim_cur = limit.rlim_max =
+                static_cast<rlim_t>(options.memLimitMb * 1024 * 1024);
+            ::setrlimit(RLIMIT_AS, &limit); // best effort: a denied cap
+                                            // only loses the backstop
+        }
+        serveChild(ends[1], options);
+    }
+    ::close(ends[1]);
+    return SandboxWorker{pid, ends[0]};
+}
+
+/**
+ * Wait until @p fd is readable (an answer, EOF, or an error) or
+ * @p deadline passes. False on expiry.
+ */
+bool
+readableBefore(int fd, std::chrono::steady_clock::time_point deadline)
+{
+    pollfd watch{fd, POLLIN, 0};
+    for (;;) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        const int timeout = static_cast<int>(
+            std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+        const int ready = ::poll(&watch, 1, timeout);
+        if (ready < 0 && errno == EINTR)
+            continue;
+        if (ready != 0)
+            return true; // a poll error surfaces through readFrame
+        if (timeout == 0)
+            return false;
+    }
 }
 
 } // namespace
+
+struct ProcWorkerPool::Slot
+{
+    SandboxWorker worker;
+    unsigned index = 0;
+    bool busy = false;
+    /** Jobs answered by this incarnation (trace span arg). */
+    std::uint64_t jobsDone = 0;
+    /** Trace clock at spawn (span start). */
+    std::uint64_t spawnTs = 0;
+};
 
 ProcWorkerPool::ProcWorkerPool(Options options)
     : _options(std::move(options))
 {
     if (_options.workers == 0)
         _options.workers = 1;
-    if (_options.heartbeat.count() <= 0)
-        _options.heartbeat = std::chrono::milliseconds(20);
+    if (!_options.simulate)
+        _options.simulate = [](const SimJob &job,
+                               const AttemptContext &ctx) {
+            return SimulationEngine::simulateJob(job, ctx);
+        };
 
-    // A worker that dies holding the far end of a pipe must surface
+    // A worker that dies holding the far end of a socket must surface
     // as EPIPE in writeFrame, not as a fatal SIGPIPE to the campaign.
     ::signal(SIGPIPE, SIG_IGN);
-
-    _context.simulate = _options.simulate;
-    _context.hookFactory = _options.hookFactory;
-    _context.memLimitMb = _options.memLimitMb;
-    _context.cpuLimitSeconds = _options.cpuLimitSeconds;
 
     _slots.resize(_options.workers);
     for (unsigned i = 0; i < _options.workers; ++i) {
         _slots[i].index = i;
-        _slots[i].worker = spawnSandboxWorker(_context);
+        _slots[i].worker = spawnWorker(_options);
     }
-
-    _monitor = std::thread([this] { monitorLoop(); });
 }
 
 ProcWorkerPool::~ProcWorkerPool()
 {
-    {
-        const std::scoped_lock lock(_mutex);
-        _stopping = true;
-    }
-    _monitorCv.notify_all();
-    _freeCv.notify_all();
-    if (_monitor.joinable())
-        _monitor.join();
-
     for (Slot &slot : _slots) {
-        if (!slot.worker.alive())
+        if (slot.worker.pid <= 0)
             continue;
-        closeWorkerPipes(slot.worker); // request EOF: child exits
+        ::close(slot.worker.fd); // EOF: the child exits its loop
         int status = 0;
         ::waitpid(slot.worker.pid, &status, 0);
         closeSpanLocked(slot, "shutdown");
-        slot.worker.pid = -1;
     }
 }
 
@@ -181,11 +312,12 @@ void
 ProcWorkerPool::respawnLocked(Slot &slot,
                               const std::string &exit_reason)
 {
-    closeWorkerPipes(slot.worker);
+    ::close(slot.worker.fd);
     closeSpanLocked(slot, exit_reason);
-    slot.worker = spawnSandboxWorker(_context);
+    slot.worker = SandboxWorker{}; // if the fork fails, the next
+                                   // dispatch respawns again
+    slot.worker = spawnWorker(_options);
     slot.jobsDone = 0;
-    slot.watchdogKilled = false;
     slot.spawnTs = _trace != nullptr ? _trace->nowMicros() : 0;
     _respawns.fetch_add(1, std::memory_order_relaxed);
     if (_respawnCounter != nullptr)
@@ -193,8 +325,8 @@ ProcWorkerPool::respawnLocked(Slot &slot,
 }
 
 void
-ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
-                                const std::string &identity)
+ProcWorkerPool::throwClassifiedLocked(int status, bool watchdog_killed,
+                                      const std::string &identity)
 {
     if (watchdog_killed)
         throw DeadlineExceeded(
@@ -203,34 +335,34 @@ ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
             " ms hard deadline and was SIGKILLed by the watchdog "
             "while simulating " +
             identity);
+    const bool oom =
+        (WIFEXITED(status) && WEXITSTATUS(status) == kExitOom) ||
+        (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+    if (oom) {
+        _oomKills.fetch_add(1, std::memory_order_relaxed);
+        if (_oomCounter != nullptr)
+            _oomCounter->add();
+    }
     if (WIFEXITED(status)) {
         const int code = WEXITSTATUS(status);
-        if (code == kExitOom) {
-            _oomKills.fetch_add(1, std::memory_order_relaxed);
-            if (_oomCounter != nullptr)
-                _oomCounter->add();
+        if (code == kExitOom)
             throw ResourceExhausted(
                 "sandbox worker exhausted its memory limit (" +
                 std::to_string(_options.memLimitMb) +
                 " MiB) while simulating " + identity);
-        }
         throw PermanentFault(
             "sandbox worker exited with code " + std::to_string(code) +
             " without answering while simulating " + identity);
     }
     if (WIFSIGNALED(status)) {
         const int sig = WTERMSIG(status);
-        if (sig == SIGKILL) {
-            // Not our watchdog, so the kernel's OOM killer is the
-            // usual suspect: permanent, like any resource exhaustion.
-            _oomKills.fetch_add(1, std::memory_order_relaxed);
-            if (_oomCounter != nullptr)
-                _oomCounter->add();
+        // Not our watchdog, so the kernel's OOM killer is the usual
+        // suspect: permanent, like any resource exhaustion.
+        if (sig == SIGKILL)
             throw ResourceExhausted(
                 "sandbox worker was SIGKILLed outside the watchdog "
                 "(kernel OOM killer?) while simulating " +
                 identity);
-        }
         if (sig == SIGXCPU)
             throw DeadlineExceeded(
                 "sandbox worker exceeded its CPU time limit "
@@ -249,170 +381,91 @@ ProcWorkerPool::throwClassified(int status, bool watchdog_killed,
 double
 ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
 {
-    if (job.workload == nullptr)
-        throw PermanentFault("sandbox job carries no workload");
-    if (job.makeHook && !_context.hookFactory)
-        throw PermanentFault(
-            "job " + jobIdentity(job) +
-            " has an enhancement hook but the process pool was built "
-            "without a hook factory to rebuild it in the sandbox");
-
-    JobRequest request;
-    request.profile = *job.workload;
-    request.config = job.config;
-    request.instructions = job.instructions;
-    request.warmupInstructions = job.warmupInstructions;
-    request.hasHook = static_cast<bool>(job.makeHook);
-    request.label = job.label;
-    request.jobIndex = ctx.jobIndex;
-    request.attempt = ctx.attempt;
-    request.deadlineBudget = ctx.deadlineBudget;
-    request.sampling = job.sampling;
     Writer writer;
-    request.serialize(writer);
-
-    const std::string identity = jobIdentity(job);
+    makeRequest(job, ctx).serialize(writer);
 
     std::unique_lock<std::mutex> lock(_mutex);
-    Slot *checked_out = nullptr;
+    Slot *free_slot = nullptr;
     _freeCv.wait(lock, [&] {
-        if (_stopping)
-            return true;
         for (Slot &slot : _slots) {
-            if (!slot.busy && slot.worker.alive()) {
-                checked_out = &slot;
+            if (!slot.busy) {
+                free_slot = &slot;
                 return true;
             }
         }
         return false;
     });
-    if (_stopping || checked_out == nullptr)
-        throw std::logic_error(
-            "ProcWorkerPool::execute during pool shutdown");
-    Slot &slot = *checked_out;
+    Slot &slot = *free_slot;
     slot.busy = true;
-    slot.watchdogKilled = false;
-    if (_options.hardDeadline.count() > 0)
-        slot.deadline =
-            std::chrono::steady_clock::now() + _options.hardDeadline;
 
-    // Dispatch. A request frame is far below the pipe's buffer, so
+    // Dispatch. A request frame is far below the socket's buffer, so
     // the write never blocks; EPIPE means the worker died idle — an
     // incident of the *worker*, not this job, so respawn and retry.
     for (int dispatch = 0;; ++dispatch) {
         try {
-            writeFrame(slot.worker.requestFd, writer.bytes());
+            writeFrame(slot.worker.fd, writer.bytes());
             break;
         } catch (const ProtocolError &) {
             int status = 0;
-            ::waitpid(slot.worker.pid, &status, 0);
+            if (slot.worker.pid > 0)
+                ::waitpid(slot.worker.pid, &status, 0);
             respawnLocked(slot, describeWaitStatus(status));
             if (dispatch >= 2) {
                 slot.busy = false;
-                lock.unlock();
                 _freeCv.notify_one();
                 throw TransientFault(
                     "sandbox workers kept dying before accepting "
                     "job " +
-                    identity);
+                    jobIdentity(job));
             }
         }
     }
-
-    const int result_fd = slot.worker.resultFd;
-    const pid_t pid = slot.worker.pid;
+    const auto deadline =
+        std::chrono::steady_clock::now() + _options.hardDeadline;
+    const SandboxWorker worker = slot.worker;
     lock.unlock();
 
-    // Block for the outcome with the lock released: the monitor must
-    // be able to SIGKILL this very worker while we sit in read().
+    // Block for the outcome with the lock released. This thread is
+    // the watchdog: past the hard deadline it SIGKILLs its own child,
+    // and whatever the child wrote by then is discarded.
+    const bool killed = _options.hardDeadline.count() > 0 &&
+                        !readableBefore(worker.fd, deadline);
     std::vector<std::byte> frame;
     bool answered = false;
-    try {
-        answered = readFrame(result_fd, frame);
-    } catch (const ProtocolError &) {
-        answered = false; // torn frame: classify from the wait status
+    if (killed) {
+        ::kill(worker.pid, SIGKILL);
+    } else {
+        try {
+            answered = readFrame(worker.fd, frame);
+        } catch (const ProtocolError &) {
+            answered = false; // torn frame: classify from the wait status
+        }
     }
 
     lock.lock();
     if (answered) {
         ++slot.jobsDone;
-        if (slot.watchdogKilled) {
-            // The answer raced the watchdog's SIGKILL; honor the
-            // result, but the worker is dead — replace it.
-            int status = 0;
-            ::waitpid(pid, &status, 0);
-            respawnLocked(slot, "watchdog-sigkill");
-        }
         slot.busy = false;
         lock.unlock();
         _freeCv.notify_one();
-
         Reader reader(frame);
-        const JobResult result = JobResult::deserialize(reader);
-        switch (result.status) {
-          case ResultStatus::Ok:
-            if (result.hasSample && ctx.sampleOut != nullptr)
-                *ctx.sampleOut = result.sample;
-            return result.cycles;
-          case ResultStatus::Transient:
-            throw TransientFault(result.message);
-          case ResultStatus::Deadline:
-            throw DeadlineExceeded(result.message);
-          case ResultStatus::Resource:
-            throw ResourceExhausted(result.message);
-          case ResultStatus::Permanent:
-            break;
-        }
-        throw PermanentFault(result.message);
+        return resultCycles(JobResult::deserialize(reader), ctx);
     }
 
-    // EOF without an answer: the worker died mid-attempt. Reap it,
-    // refill the pool, then translate the death into the taxonomy.
-    const bool watchdog = slot.watchdogKilled;
+    // No answer: the worker died mid-attempt. Reap it, refill the
+    // pool, then translate the death into the taxonomy.
     int status = 0;
-    ::waitpid(pid, &status, 0);
-    respawnLocked(slot,
-                  watchdog ? "watchdog-sigkill"
-                           : describeWaitStatus(status));
-    slot.busy = false;
-    lock.unlock();
-    _freeCv.notify_one();
-    throwClassified(status, watchdog, identity);
-}
-
-void
-ProcWorkerPool::monitorLoop()
-{
-    std::unique_lock<std::mutex> lock(_mutex);
-    while (!_stopping) {
-        _monitorCv.wait_for(lock, _options.heartbeat);
-        if (_stopping)
-            break;
-        const auto now = std::chrono::steady_clock::now();
-        for (Slot &slot : _slots) {
-            if (!slot.worker.alive())
-                continue;
-            if (slot.busy) {
-                if (_options.hardDeadline.count() > 0 &&
-                    !slot.watchdogKilled && now >= slot.deadline) {
-                    ::kill(slot.worker.pid, SIGKILL);
-                    slot.watchdogKilled = true;
-                    _sigkills.fetch_add(1, std::memory_order_relaxed);
-                    if (_sigkillCounter != nullptr)
-                        _sigkillCounter->add();
-                }
-                continue;
-            }
-            // Idle-death heartbeat: a worker that died between jobs
-            // (external kill, latent corruption) is reaped and
-            // replaced here instead of poisoning the next dispatch.
-            int status = 0;
-            const pid_t reaped =
-                ::waitpid(slot.worker.pid, &status, WNOHANG);
-            if (reaped == slot.worker.pid)
-                respawnLocked(slot, describeWaitStatus(status));
-        }
+    ::waitpid(worker.pid, &status, 0);
+    if (killed) {
+        _sigkills.fetch_add(1, std::memory_order_relaxed);
+        if (_sigkillCounter != nullptr)
+            _sigkillCounter->add();
     }
+    respawnLocked(slot, killed ? "watchdog-sigkill"
+                               : describeWaitStatus(status));
+    slot.busy = false;
+    _freeCv.notify_one();
+    throwClassifiedLocked(status, killed, jobIdentity(job));
 }
 
 } // namespace rigor::exec::proc

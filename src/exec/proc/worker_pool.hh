@@ -8,17 +8,19 @@
  * the whole process and every completed cell with it, a
  * non-cooperative infinite loop never polls the cooperative deadline,
  * and a runaway allocation invites the kernel OOM killer to shoot the
- * campaign itself. ProcWorkerPool forks N sandbox workers
- * (sandbox_worker.hh) and ships each attempt over pipe IPC
- * (protocol.hh); the blast radius of any crash, hang, or OOM is one
- * attempt of one job.
+ * campaign itself. ProcWorkerPool forks N sandbox workers, each an
+ * rlimit'd child on one Unix socket, and ships each attempt over it
+ * with the attempt codec (protocol.hh); the blast radius of any
+ * crash, hang, or OOM is one attempt of one job.
  *
- * Supervision is a monitor thread on a heartbeat tick: it SIGKILLs
- * any worker that outlives the hard per-attempt deadline (no
- * cooperation needed — the kill lands mid-instruction), and reaps and
- * respawns workers that died while idle. Deaths observed by the
- * dispatching thread (EOF on the result pipe) are classified from the
- * wait status back into the engine's fault taxonomy:
+ * Supervision is synchronous: the thread that dispatched an attempt
+ * waits for its answer itself. With a hard deadline it polls the
+ * socket for the time left and, on expiry, SIGKILLs its own child (no
+ * cooperation needed — the kill lands mid-instruction). A worker that
+ * died while idle is found at the next dispatch (EPIPE), reaped,
+ * respawned, and the attempt redispatched. A death mid-attempt (EOF
+ * on the socket) is classified from the wait status back into the
+ * engine's fault taxonomy:
  *
  *   watchdog SIGKILL           -> DeadlineExceeded   (retryable)
  *   SIGXCPU (RLIMIT_CPU)       -> DeadlineExceeded   (retryable)
@@ -43,11 +45,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/engine.hh"
-#include "exec/proc/sandbox_worker.hh"
+#include "exec/proc/protocol.hh"
 
 namespace rigor::obs
 {
@@ -73,31 +74,29 @@ class ProcWorkerPool
          *  sandbox. */
         SimulateFn simulate;
         /** Hook builder for jobs with makeHook; the children rebuild
-         *  hooks from this instead of shipping closures over IPC. */
+         *  hooks from this instead of shipping closures over IPC. A
+         *  hooked job on a pool without one fails permanent. */
         SandboxHookFactory hookFactory;
         /** Per-worker RLIMIT_AS cap in MiB; 0 = unlimited. */
         std::uint64_t memLimitMb = 0;
-        /** Per-worker RLIMIT_CPU cap in seconds; 0 = unlimited. */
-        std::uint64_t cpuLimitSeconds = 0;
         /**
-         * Hard per-attempt deadline: the monitor SIGKILLs a worker
-         * busy past it. Needs no cooperation from the simulated code,
-         * unlike FaultPolicy::attemptDeadline (which still works
-         * inside the sandbox and yields nicer diagnostics — use both:
-         * cooperative slightly below hard). Zero disables.
+         * Hard per-attempt deadline: the dispatching thread SIGKILLs
+         * a worker busy past it. Needs no cooperation from the
+         * simulated code, unlike FaultPolicy::attemptDeadline (which
+         * still works inside the sandbox and yields nicer diagnostics
+         * — use both: cooperative slightly below hard). Zero
+         * disables.
          */
         std::chrono::milliseconds hardDeadline{0};
-        /** Monitor tick: watchdog check + idle-death reaping. */
-        std::chrono::milliseconds heartbeat{20};
     };
 
-    /** Spawns the workers and starts the monitor thread. SIGPIPE is
-     *  ignored for the process lifetime (a dead child must surface
-     *  as EPIPE, not kill the campaign). */
+    /** Spawns the workers. SIGPIPE is ignored for the process
+     *  lifetime (a dead child must surface as EPIPE, not kill the
+     *  campaign). */
     explicit ProcWorkerPool(Options options);
 
-    /** Shuts the monitor down, closes the request pipes (children
-     *  exit their loops), and reaps every worker. */
+    /** Closes every worker's socket (children exit their loops) and
+     *  reaps every worker. */
     ~ProcWorkerPool();
 
     ProcWorkerPool(const ProcWorkerPool &) = delete;
@@ -119,10 +118,7 @@ class ProcWorkerPool
      */
     double execute(const SimJob &job, const AttemptContext &ctx);
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(_slots.size());
-    }
+    unsigned workers() const { return _options.workers; }
 
     /** Workers respawned after any death (all causes). */
     std::uint64_t respawns() const
@@ -151,41 +147,26 @@ class ProcWorkerPool
     void setTraceWriter(obs::TraceWriter *trace);
 
   private:
-    struct Slot
-    {
-        SandboxWorker worker;
-        unsigned index = 0;
-        bool busy = false;
-        /** The watchdog SIGKILLed this worker's current attempt. */
-        bool watchdogKilled = false;
-        /** Hard-deadline expiry of the current attempt. */
-        std::chrono::steady_clock::time_point deadline{};
-        /** Jobs answered by this incarnation (trace span arg). */
-        std::uint64_t jobsDone = 0;
-        /** Trace clock at spawn (span start). */
-        std::uint64_t spawnTs = 0;
-    };
+    /** One worker process and its bookkeeping (worker_pool.cc). */
+    struct Slot;
 
-    /** Close the dead worker's pipes and span, fork a replacement.
+    /** Close the dead worker's socket and span, fork a replacement.
      *  Caller holds _mutex and has already reaped the pid. */
     void respawnLocked(Slot &slot, const std::string &exit_reason);
     /** Close @p slot's lifetime trace span. Caller holds _mutex. */
     void closeSpanLocked(const Slot &slot,
                          const std::string &exit_reason);
-    /** Throw the fault classified from @p status. Never returns. */
-    [[noreturn]] void throwClassified(int status, bool watchdog_killed,
-                                      const std::string &identity);
-    void monitorLoop();
+    /** Count and throw the fault classified from @p status. Caller
+     *  holds _mutex. Never returns. */
+    [[noreturn]] void throwClassifiedLocked(int status,
+                                            bool watchdog_killed,
+                                            const std::string &identity);
 
     Options _options;
-    SandboxContext _context;
     std::vector<Slot> _slots;
 
     std::mutex _mutex;
     std::condition_variable _freeCv;
-    std::condition_variable _monitorCv;
-    bool _stopping = false;
-    std::thread _monitor;
 
     std::atomic<std::uint64_t> _respawns{0};
     std::atomic<std::uint64_t> _sigkills{0};

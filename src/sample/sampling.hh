@@ -63,11 +63,11 @@ struct SamplingOptions
 };
 
 static_assert(std::is_trivially_copyable_v<SamplingOptions>,
-              "SamplingOptions crosses the sandbox pipe as a pod");
+              "SamplingOptions is shipped to workers as a pod");
 
 /**
  * Result of one sampled run. Trivially copyable for the same
- * sandbox-pipe reason as SamplingOptions.
+ * wire reason as SamplingOptions.
  */
 struct SampleSummary
 {
@@ -101,7 +101,7 @@ struct SampleSummary
 };
 
 static_assert(std::is_trivially_copyable_v<SampleSummary>,
-              "SampleSummary crosses the sandbox pipe as a pod");
+              "SampleSummary is shipped to workers as a pod");
 
 /**
  * Aggregate per-unit CPIs into a SampleSummary. Exposed separately

@@ -293,6 +293,34 @@ TEST(NetController, ExecutesJobsAcrossARealWorkerFleet)
     w2.join();
 }
 
+TEST(NetController, HookedJobOnAWorkerWithoutHookFactoryFailsPermanent)
+{
+    auto controller = std::make_unique<net::CampaignController>();
+    const std::uint16_t port = controller->port();
+    std::thread worker([port] {
+        net::RemoteWorkerOptions opts;
+        opts.port = port;
+        opts.name = "hookless";
+        opts.simulate = stubResponse;
+        EXPECT_EQ(net::runRemoteWorker(opts).end,
+                  net::SessionEnd::Shutdown);
+    });
+    ASSERT_TRUE(controller->waitForWorkers(
+        1, std::chrono::milliseconds(10000)));
+
+    const rigor::trace::WorkloadProfile profile;
+    SimJob job = makeJob(profile, "hooked cell");
+    job.makeHook = [] {
+        return std::unique_ptr<rigor::sim::ExecutionHook>();
+    };
+    AttemptContext ctx;
+    EXPECT_THROW(controller->execute(job, ctx),
+                 rigor::exec::PermanentFault);
+
+    controller.reset();
+    worker.join();
+}
+
 TEST(NetController, SilentWorkerLapsesAndCellMigratesThenLateResultIsDropped)
 {
     net::ControllerOptions options;

@@ -2,11 +2,17 @@
 
 #include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "exec/engine.hh"
 #include "exec/fault_injection.hh"
@@ -93,6 +99,8 @@ drillStub()
             for (;;)
                 sink = sink + 1;
         }
+        if (job.label == "report-pid")
+            return static_cast<double>(::getpid());
         if (job.label == "alloc-bomb") {
             std::vector<std::unique_ptr<char[]>> hoard;
             for (;;) {
@@ -106,14 +114,31 @@ drillStub()
     };
 }
 
+/** Block until @p pid has exited (a zombie awaiting its reaper). */
+bool
+waitUntilExited(pid_t pid)
+{
+    const std::string path = "/proc/" + std::to_string(pid) + "/stat";
+    for (int i = 0; i < 1000; ++i) {
+        std::ifstream stat(path);
+        std::string line;
+        std::getline(stat, line);
+        // The state letter follows the parenthesized command name.
+        const std::size_t close = line.rfind(')');
+        if (close != std::string::npos && close + 2 < line.size() &&
+            line[close + 2] == 'Z')
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+}
+
 proc::ProcWorkerPool::Options
 poolOptions(unsigned workers)
 {
     proc::ProcWorkerPool::Options options;
     options.workers = workers;
     options.simulate = drillStub();
-    // A fast heartbeat keeps watchdog tests quick.
-    options.heartbeat = std::chrono::milliseconds(5);
     return options;
 }
 
@@ -180,6 +205,38 @@ TEST(ProcProtocol, JobResultRoundTripsAndRejectsTruncation)
                  proc::ProtocolError);
 }
 
+TEST(ProcProtocol, JobResultRejectsANonBooleanHasSampleByte)
+{
+    // hasSample is the byte just before the trailing SampleSummary.
+    proc::JobResult result;
+    result.status = proc::ResultStatus::Ok;
+    proc::Writer result_writer;
+    result.serialize(result_writer);
+    std::vector<std::byte> bad_result = result_writer.bytes();
+    bad_result[bad_result.size() - sizeof(rigor::sample::SampleSummary) -
+               1] = std::byte{2};
+    proc::Reader result_reader(bad_result);
+    EXPECT_THROW(proc::JobResult::deserialize(result_reader),
+                 proc::ProtocolError);
+}
+
+TEST(ProcProtocol, JobRequestRejectsANonBooleanSamplingEnabledByte)
+{
+    // sampling.enabled lives inside the trailing SamplingOptions pod.
+    proc::JobRequest request;
+    request.profile = trace::workloadByName("gzip");
+    proc::Writer request_writer;
+    request.serialize(request_writer);
+    std::vector<std::byte> bad_request = request_writer.bytes();
+    bad_request[bad_request.size() -
+                sizeof(rigor::sample::SamplingOptions) +
+                offsetof(rigor::sample::SamplingOptions, enabled)] =
+        std::byte{2};
+    proc::Reader request_reader(bad_request);
+    EXPECT_THROW(proc::JobRequest::deserialize(request_reader),
+                 proc::ProtocolError);
+}
+
 // ----- The pool: happy path -----
 
 TEST(ProcWorkerPool, ExecutesJobsInsideSandboxWorkers)
@@ -219,6 +276,53 @@ TEST(ProcWorkerPool, ChildThrownFaultsKeepTheirTaxonomy)
     EXPECT_EQ(pool.respawns(), 0u);
     EXPECT_DOUBLE_EQ(pool.execute(sandboxJob(w, 4, "ok"), attempt(4)),
                      1004.0);
+}
+
+TEST(ProcWorkerPool, HookedJobWithoutHookFactoryFailsPermanent)
+{
+    const trace::WorkloadProfile &w = trace::workloadByName("gzip");
+    proc::ProcWorkerPool pool(poolOptions(1));
+
+    exec::SimJob job = sandboxJob(w, 0, "ok");
+    job.makeHook = [] { return std::unique_ptr<rigor::sim::ExecutionHook>(); };
+    EXPECT_THROW(pool.execute(job, attempt(0)), exec::PermanentFault);
+    // The worker refused the job without dying.
+    EXPECT_EQ(pool.respawns(), 0u);
+}
+
+TEST(ProcWorkerPool, WorkerThatDiesIdleIsReplacedAtTheNextDispatch)
+{
+    const trace::WorkloadProfile &w = trace::workloadByName("gzip");
+    std::uint64_t t = 0;
+    obs::TraceWriter trace([&t] { return t += 100; });
+    {
+        proc::ProcWorkerPool pool(poolOptions(1));
+        pool.setTraceWriter(&trace);
+
+        // The worker answers with its pid, then dies between attempts.
+        const auto pid = static_cast<pid_t>(pool.execute(
+            sandboxJob(w, 0, "report-pid"), attempt(0)));
+        ASSERT_EQ(::kill(pid, SIGTERM), 0);
+        ASSERT_TRUE(waitUntilExited(pid));
+
+        // The dispatch meets EPIPE, reaps, respawns, and redispatches:
+        // the job itself never sees the dead worker.
+        EXPECT_DOUBLE_EQ(
+            pool.execute(sandboxJob(w, 1, "ok"), attempt(1)), 1001.0);
+        EXPECT_EQ(pool.respawns(), 1u);
+        EXPECT_EQ(pool.sigkills(), 0u);
+        EXPECT_EQ(pool.oomKills(), 0u);
+    }
+
+    // The dead lifetime's span closed with its exit reason and the
+    // one job it served; the replacement's closed at shutdown.
+    ASSERT_EQ(trace.eventCount(), 2u);
+    const std::string json = trace.toJson();
+    EXPECT_NE(json.find("\"jobs\":\"1\",\"exit\":\"signal:SIGTERM\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"exit\":\"shutdown\""), std::string::npos)
+        << json;
 }
 
 // ----- Crash classification -----
@@ -387,7 +491,6 @@ TEST(ProcWorkerPool, InjectedProcessDrillsFireInsideTheSandbox)
 
     proc::ProcWorkerPool::Options options;
     options.workers = 1;
-    options.heartbeat = std::chrono::milliseconds(5);
     options.simulate = injector.wrap(
         [](const exec::SimJob &, const exec::AttemptContext &ctx) {
             return 2000.0 + static_cast<double>(ctx.jobIndex);
