@@ -9,10 +9,10 @@
 #include <thread>
 
 #include "exec/journal.hh"
+#include "exec/replay_slot.hh"
 #include "exec/sim_job_queue.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
-#include "trace/generator.hh"
 
 namespace rigor::exec
 {
@@ -55,46 +55,6 @@ resolveThreads(unsigned requested)
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 4 : hw;
 }
-
-/**
- * The cooperative watchdog: polls the attempt deadline between
- * instructions (every kPollInterval), so a wedged simulation throws
- * DeadlineExceeded within a few thousand instructions of the budget
- * expiring instead of hanging the worker forever.
- */
-class DeadlineGuardedSource : public trace::TraceSource
-{
-  public:
-    DeadlineGuardedSource(trace::TraceSource &inner,
-                          const AttemptContext &ctx)
-        : _inner(inner), _ctx(ctx)
-    {
-    }
-
-    bool
-    next(trace::Instruction &out) override
-    {
-        if ((++_count & (kPollInterval - 1)) == 0)
-            _ctx.checkDeadline();
-        return _inner.next(out);
-    }
-
-    void
-    reset() override
-    {
-        _inner.reset();
-        _count = 0;
-    }
-
-    std::uint64_t length() const override { return _inner.length(); }
-
-  private:
-    static constexpr std::uint64_t kPollInterval = 4096;
-
-    trace::TraceSource &_inner;
-    const AttemptContext &_ctx;
-    std::uint64_t _count = 0;
-};
 
 } // namespace
 
@@ -175,33 +135,8 @@ double
 SimulationEngine::simulateJob(const SimJob &job,
                               const AttemptContext &ctx)
 {
-    std::unique_ptr<sim::ExecutionHook> hook;
-    if (job.makeHook)
-        hook = job.makeHook();
-    trace::SyntheticTraceGenerator gen(
-        *job.workload, job.instructions + job.warmupInstructions);
-    sim::SuperscalarCore core(job.config, hook.get());
-
-    trace::TraceSource *source = &gen;
-    std::optional<DeadlineGuardedSource> guarded;
-    if (ctx.hasDeadline()) {
-        guarded.emplace(gen, ctx);
-        source = &*guarded;
-    }
-
-    if (job.sampling.enabled) {
-        // Sampled mode owns its own per-unit warm-up; the job-level
-        // warm-up only pads the stream the schedule covers.
-        const sample::SampleSummary summary =
-            sample::runSampled(core, *source, job.sampling);
-        if (ctx.sampleOut != nullptr)
-            *ctx.sampleOut = summary;
-        return summary.estimatedCycles;
-    }
-
-    const sim::CoreStats stats =
-        core.run(*source, job.warmupInstructions);
-    return static_cast<double>(stats.measuredCycles());
+    thread_local detail::ReplaySlot slot;
+    return detail::simulateJobWith(slot, job, ctx);
 }
 
 SimulationEngine::RunOutcome

@@ -291,6 +291,9 @@ class SimulationEngine
     /**
      * Execute one job unconditionally (no cache, no counters) — the
      * single-run primitive the batch path and simulateOnce share.
+     * Each thread keeps the last stream it generated (up to
+     * detail::kReplayMaxInstructions) and replays it for the next job
+     * on the same workload and length; see exec/replay_slot.hh.
      */
     static double simulateJob(const SimJob &job);
 

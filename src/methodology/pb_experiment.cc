@@ -13,7 +13,6 @@
 #include "methodology/parameter_space.hh"
 #include "methodology/rank_table.hh"
 #include "obs/json.hh"
-#include "trace/generator.hh"
 
 namespace rigor::methodology
 {
@@ -93,17 +92,41 @@ PbExperimentResult::dropBenchmarks(std::span<const std::string> names)
         summaries.clear();
 }
 
+namespace
+{
+
+/** Lends the caller's hook to one engine run (SimJob owns its hook). */
+class LentHook : public sim::ExecutionHook
+{
+  public:
+    explicit LentHook(sim::ExecutionHook &inner) : _inner(inner) {}
+
+    bool
+    intercept(const trace::Instruction &inst) override
+    {
+        return _inner.intercept(inst);
+    }
+
+  private:
+    sim::ExecutionHook &_inner;
+};
+
+} // namespace
+
 double
 simulateOnce(const trace::WorkloadProfile &profile,
              const sim::ProcessorConfig &config,
              std::uint64_t instructions, sim::ExecutionHook *hook,
              std::uint64_t warmup_instructions)
 {
-    trace::SyntheticTraceGenerator gen(
-        profile, instructions + warmup_instructions);
-    sim::SuperscalarCore core(config, hook);
-    const sim::CoreStats stats = core.run(gen, warmup_instructions);
-    return static_cast<double>(stats.measuredCycles());
+    exec::SimJob job;
+    job.workload = &profile;
+    job.config = config;
+    job.instructions = instructions;
+    job.warmupInstructions = warmup_instructions;
+    if (hook != nullptr)
+        job.makeHook = [hook] { return std::make_unique<LentHook>(*hook); };
+    return exec::SimulationEngine::simulateJob(job);
 }
 
 namespace

@@ -24,9 +24,13 @@ constexpr std::uint64_t btbMisfetchBubble = 2;
 // ---------------------------------------------------------------------
 
 SlotAllocator::SlotAllocator(std::uint32_t capacity_per_cycle)
-    : _capacity(capacity_per_cycle), _tags(ringSize, ~std::uint64_t{0}),
-      _counts(ringSize, 0)
+    : _capacity(capacity_per_cycle), _ring(ringSize, 0)
 {
+    if (capacity_per_cycle == 0 || capacity_per_cycle > bookingMask)
+        throw std::invalid_argument(
+            "SlotAllocator: capacity per cycle must be in [1, " +
+            std::to_string(bookingMask) + "], got " +
+            std::to_string(capacity_per_cycle));
 }
 
 std::uint64_t
@@ -34,14 +38,14 @@ SlotAllocator::allocate(std::uint64_t earliest)
 {
     std::uint64_t cycle = earliest;
     for (;;) {
-        const std::size_t idx = cycle & (ringSize - 1);
-        if (_tags[idx] != cycle) {
-            _tags[idx] = cycle;
-            _counts[idx] = 1;
+        std::uint64_t &entry = _ring[cycle & (ringSize - 1)];
+        const std::uint64_t tag = (cycle + 1) << bookingBits;
+        if ((entry & ~bookingMask) != tag) {
+            entry = tag | 1;
             return cycle;
         }
-        if (_counts[idx] < _capacity) {
-            ++_counts[idx];
+        if ((entry & bookingMask) < _capacity) {
+            ++entry;
             return cycle;
         }
         ++cycle;
@@ -51,8 +55,7 @@ SlotAllocator::allocate(std::uint64_t earliest)
 void
 SlotAllocator::reset()
 {
-    std::fill(_tags.begin(), _tags.end(), ~std::uint64_t{0});
-    std::fill(_counts.begin(), _counts.end(), 0);
+    std::fill(_ring.begin(), _ring.end(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -63,6 +66,7 @@ SuperscalarCore::SuperscalarCore(const ProcessorConfig &config,
                                  ExecutionHook *hook)
     : _config(config), _hook(hook), _memory(config),
       _predictor(makeBranchPredictor(config.bpred)),
+      _perfect(dynamic_cast<PerfectPredictor *>(_predictor.get())),
       _btb(config.btbEntries, config.btbAssoc),
       _ras(config.rasEntries),
       _intAlu("int-alu", config.intAlus, config.intAluLatency,
@@ -247,9 +251,8 @@ SuperscalarCore::run(trace::TraceSource &source,
         // Control-flow prediction.
         const bool is_control = trace::isControlOp(inst.op);
         if (is_control) {
-            if (auto *perfect =
-                    dynamic_cast<PerfectPredictor *>(_predictor.get()))
-                perfect->setOracleOutcome(inst.taken);
+            if (_perfect)
+                _perfect->setOracleOutcome(inst.taken);
             handleControl(inst, fetch_cycle);
             if (inst.taken && !_branchMispredicted) {
                 // Taken transfer ends the fetch group.

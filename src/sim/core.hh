@@ -109,11 +109,18 @@ struct CoreStats
  * Per-cycle bounded-capacity slot allocator (issue slots, memory
  * ports). A tagged ring buffer keeps O(1) allocation without a
  * global cycle loop; the ring must be larger than the maximum spread
- * between in-flight cycle numbers, which the ROB bounds.
+ * between in-flight cycle numbers, which the ROB bounds. Each ring
+ * entry packs the cycle it books and its booking count into one
+ * word: (cycle + 1) << 16 | bookings, with 0 for an empty entry
+ * (cycles stay far below the 2^48 the tag field holds).
  */
 class SlotAllocator
 {
   public:
+    /**
+     * @throws std::invalid_argument when @p capacity_per_cycle is 0
+     *         or does not fit the 16-bit bookings field
+     */
     explicit SlotAllocator(std::uint32_t capacity_per_cycle);
 
     /**
@@ -127,10 +134,12 @@ class SlotAllocator
 
   private:
     static constexpr std::size_t ringSize = 1u << 17;
+    static constexpr unsigned bookingBits = 16;
+    static constexpr std::uint64_t bookingMask =
+        (std::uint64_t{1} << bookingBits) - 1;
 
     std::uint32_t _capacity;
-    std::vector<std::uint64_t> _tags;
-    std::vector<std::uint32_t> _counts;
+    std::vector<std::uint64_t> _ring;
 };
 
 /** The timing core. */
@@ -205,6 +214,8 @@ class SuperscalarCore
     ExecutionHook *_hook;
     MemorySystem _memory;
     std::unique_ptr<BranchPredictor> _predictor;
+    /** _predictor when it is the oracle, else null. */
+    PerfectPredictor *_perfect;
     Btb _btb;
     ReturnAddressStack _ras;
     FuPool _intAlu;

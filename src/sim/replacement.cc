@@ -51,7 +51,7 @@ TagStore::lookup(std::uint32_t set, std::uint64_t tag,
     Way *base = setBase(set);
     for (std::uint32_t w = 0; w < _assoc; ++w) {
         Way &way = base[w];
-        if (way.valid && way.tag == tag) {
+        if (way.valid() && way.tag == tag) {
             if (_replacement == ReplacementKind::LRU)
                 way.stamp = ++_tick;
             if (payload_out)
@@ -67,7 +67,7 @@ TagStore::probe(std::uint32_t set, std::uint64_t tag) const
 {
     const Way *base = setBase(set);
     for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].valid() && base[w].tag == tag)
             return true;
     return false;
 }
@@ -78,7 +78,7 @@ TagStore::victimWay(std::uint32_t set)
     Way *base = setBase(set);
     // Invalid ways first.
     for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (!base[w].valid)
+        if (!base[w].valid())
             return w;
 
     switch (_replacement) {
@@ -104,7 +104,7 @@ TagStore::insert(std::uint32_t set, std::uint64_t tag,
 
     // Refill of an already-present tag just refreshes the payload.
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].valid() && base[w].tag == tag) {
             base[w].payload = payload;
             base[w].stamp = ++_tick;
             return false;
@@ -113,10 +113,9 @@ TagStore::insert(std::uint32_t set, std::uint64_t tag,
 
     const std::uint32_t victim = victimWay(set);
     Way &way = base[victim];
-    const bool evicted = way.valid;
+    const bool evicted = way.valid();
     way.tag = tag;
     way.payload = payload;
-    way.valid = true;
     way.stamp = ++_tick;
     return evicted;
 }

@@ -65,13 +65,17 @@ class TagStore
     void flush();
 
   private:
+    /** One way; valid once stamped (every insert stamps ++_tick,
+     *  which is at least 1). */
     struct Way
     {
         std::uint64_t tag = 0;
         std::uint64_t payload = 0;
         std::uint64_t stamp = 0;
-        bool valid = false;
+
+        bool valid() const { return stamp != 0; }
     };
+    static_assert(sizeof(Way) == 24, "a way is three words");
 
     std::uint32_t _numSets;
     std::uint32_t _assoc;

@@ -93,6 +93,9 @@ struct WorkloadProfile
 
     /** Fraction of non-control instructions that are integer ALU. */
     double fracIntAlu() const;
+
+    /** Field-wise equality: equal profiles generate equal streams. */
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 } // namespace rigor::trace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/core.hh"
 #include "sim/stats_report.hh"
 #include "trace/vector_source.hh"
@@ -44,6 +46,42 @@ TEST(SlotAllocator, LongRuns)
             EXPECT_EQ(alloc.allocate(c), c);
     // Everything full: the next request lands at 1000.
     EXPECT_EQ(alloc.allocate(0), 1000u);
+}
+
+TEST(SlotAllocator, RejectsACapacityItCannotBook)
+{
+    EXPECT_THROW(sim::SlotAllocator(0), std::invalid_argument);
+    // The bookings count shares a word with the cycle tag: 16 bits.
+    EXPECT_THROW(sim::SlotAllocator(1u << 16), std::invalid_argument);
+    EXPECT_THROW(sim::SlotAllocator(~0u), std::invalid_argument);
+
+    sim::SlotAllocator widest((1u << 16) - 1);
+    for (std::uint32_t k = 0; k < (1u << 16) - 1; ++k)
+        ASSERT_EQ(widest.allocate(7), 7u);
+    EXPECT_EQ(widest.allocate(7), 8u);
+}
+
+TEST(SlotAllocator, CoreRejectsAWidthTheAllocatorCannotBook)
+{
+    // ProcessorConfig::validate bounds neither width from above.
+    sim::ProcessorConfig wide;
+    wide.machineWidth = 1u << 16;
+    EXPECT_THROW(sim::SuperscalarCore{wide}, std::invalid_argument);
+    sim::ProcessorConfig ported;
+    ported.memPorts = 1u << 16;
+    EXPECT_THROW(sim::SuperscalarCore{ported}, std::invalid_argument);
+}
+
+TEST(SlotAllocator, ResetReleasesEveryBooking)
+{
+    sim::SlotAllocator alloc(1);
+    EXPECT_EQ(alloc.allocate(0), 0u);
+    EXPECT_EQ(alloc.allocate(0), 1u);
+    alloc.reset();
+    EXPECT_EQ(alloc.allocate(0), 0u);
+    // A ring entry one lap later is a different cycle, not a booking.
+    EXPECT_EQ(alloc.allocate(1u << 17), 1u << 17);
+    EXPECT_EQ(alloc.allocate(1u << 17), (1u << 17) + 1);
 }
 
 TEST(StatsReport, MentionsAllSections)
