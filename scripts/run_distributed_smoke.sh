@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Drill the distributed campaign backend end to end: a controller
-# shards the Plackett-Burman screen across three localhost workers,
-# one worker is SIGKILLed mid-lease, and the campaign must still
-# finish with a rank table bit-identical to a single-process run
-# while the manifest records the lease reclaim and the rerun host
-# for every migrated cell.
+# that demands a shared auth token shards the Plackett-Burman screen
+# across three localhost workers, a rogue worker with the wrong token
+# is turned away before any lease is granted, one worker is
+# SIGKILLed mid-lease, and the campaign must still finish with a rank
+# table bit-identical to a single-process run while the manifest
+# records the lease reclaim and the rerun host for every migrated
+# cell.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -14,6 +16,8 @@ cmake --build --preset default -j "$(nproc)" --target campaign worker
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
+echo "fleet-smoke-token" > "$workdir/fleet.token"
+echo "wrong-token" > "$workdir/rogue.token"
 
 # Reference: the same screen in one process under thread isolation.
 ./build/tools/campaign \
@@ -27,6 +31,7 @@ trap 'rm -rf "$workdir"' EXIT
 ./build/tools/campaign \
     --listen 127.0.0.1:0 --workers 3 --threads 3 \
     --port-file "$workdir/port" \
+    --auth-token-file "$workdir/fleet.token" \
     --workloads gzip,mcf --instructions 100000 \
     --journal "$workdir/journal" \
     --manifest-out "$workdir/manifest.jsonl" \
@@ -45,11 +50,28 @@ done
 }
 port="$(cat "$workdir/port")"
 
-./build/tools/worker --connect "127.0.0.1:$port" --name w1 &
+# A rogue worker with the wrong token must be turned away with a
+# nonzero exit. It runs before the fleet is complete, so no cell has
+# been queued and no lease can have been granted yet.
+rogue_rc=0
+./build/tools/worker --connect "127.0.0.1:$port" --name rogue \
+    --auth-token-file "$workdir/rogue.token" \
+    > "$workdir/rogue.log" 2>&1 || rogue_rc=$?
+[ "$rogue_rc" -ne 0 ] || {
+    echo "the rogue worker was admitted" >&2
+    cat "$workdir/rogue.log" >&2
+    exit 1
+}
+echo "rogue worker rejected (exit $rogue_rc)"
+
+./build/tools/worker --connect "127.0.0.1:$port" --name w1 \
+    --auth-token-file "$workdir/fleet.token" &
 w1=$!
-./build/tools/worker --connect "127.0.0.1:$port" --name w2 &
+./build/tools/worker --connect "127.0.0.1:$port" --name w2 \
+    --auth-token-file "$workdir/fleet.token" &
 w2=$!
-./build/tools/worker --connect "127.0.0.1:$port" --name w3 &
+./build/tools/worker --connect "127.0.0.1:$port" --name w3 \
+    --auth-token-file "$workdir/fleet.token" &
 w3=$!
 
 # Wait until the fleet has journaled 20 of the 176 cells — every
@@ -90,6 +112,13 @@ for r in reclaimed:
     print("reclaimed:", r["label"], "-> rerun on", rerun["host"])
 print("hosts:", sorted({r["host"] for r in cells.values()}),
       "| reclaims:", len(reclaimed))
+# The rogue was refused by the auth gate, before any worker joined.
+rejected = [i for i, r in enumerate(leases)
+            if r["kind"] == "auth-rejected" and r["worker"] == "rogue"]
+assert rejected, "no auth-rejected record for the rogue worker"
+first_join = min(i for i, r in enumerate(leases)
+                 if r["kind"] == "worker-joined")
+assert rejected[0] < first_join, leases
 EOF
 
 echo "Distributed smoke passed."

@@ -38,7 +38,7 @@ Metrics.*:TraceWriter.*:TraceSpan.*:CampaignManifest.*:
 CampaignOptions.*:CellBatchMapping.*:Isolation/SharedEngineRestore.*:
 SampledScreen.*:
 NetProtocol.*:NetController.*:NetControllerDrill.*:NetAuth.*:
-NetAuthHandshake.*:NetSession.*:NetDrain.*:NetFuzz.*:NetSocket.*:
+NetAuthHandshake.*:NetFuzz.*:NetSocket.*:
 RemoteCampaign.*
 EOF
 )"

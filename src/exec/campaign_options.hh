@@ -126,7 +126,7 @@ struct CampaignOptions
      * call). Required when isolation is Remote — the drivers swap the
      * engine's simulate function for controller->simulateFn() exactly
      * as they swap in a sandbox pool under Process isolation. The
-     * lease, heartbeat, session grace, and auth token the campaign
+     * lease, heartbeat, and auth token the campaign
      * runs with are the controller's own (ControllerOptions).
      */
     net::CampaignController *netController = nullptr;

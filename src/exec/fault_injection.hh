@@ -50,8 +50,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -89,31 +87,14 @@ enum class FaultKind
     /** Remote worker: send a deliberately truncated frame and close
      *  (drills the controller's TruncatedFrame handling). */
     CorruptFrame,
-    /** Remote worker: drop the connection but keep the job for the
-     *  resumed session — the cell completes under its original lease
-     *  (drills session parking / lease handback). One-shot. */
-    Partition,
-    /** Remote worker: a partition followed by rapid connect/resume/
-     *  hang-up cycles (drills repeated park/resume). One-shot. */
-    ReconnectStorm,
-    /** Remote worker: trickle a valid result frame a few bytes at a
-     *  time (drills the controller's blocking reader). One-shot. */
-    SlowLoris,
-    /** Remote worker: probe the controller with a second handshake
-     *  reusing the live session id; expect SessionRejected, then run
-     *  the job normally (drills split-brain protection). One-shot. */
-    DuplicateSession,
-    /** Remote worker: probe the controller with a wrong-token
-     *  handshake; expect AuthRejected, then run the job normally
-     *  (drills the auth gate). One-shot. */
-    TokenMismatch,
+    /** The final kind: parsers iterate Transient..Last. Keep it
+     *  equal to the kind declared just above. */
+    Last = CorruptFrame,
 };
 
 /** Display name ("transient" / "permanent" / "hang" / "segfault" /
  *  "abort" / "busy-loop" / "alloc-bomb" / "kill" / "drop-connection"
- *  / "stall-heartbeat" / "corrupt-frame" / "partition" /
- *  "reconnect-storm" / "slow-loris" / "duplicate-session" /
- *  "token-mismatch"). */
+ *  / "stall-heartbeat" / "corrupt-frame"). */
 std::string toString(FaultKind kind);
 
 /**
@@ -220,18 +201,8 @@ class FaultInjector
 
     void raise(FaultKind kind, const SimJob &job,
                const AttemptContext &ctx) const;
-    /** One-shot arming: true the first time this planned entry is
-     *  hit, false on every later match. The session-resume drills
-     *  re-execute the same (job, attempt) after a local requeue, so
-     *  without this they would refire forever. */
-    bool armOneShot(FaultKind kind, std::size_t entry) const;
-
     std::map<std::pair<std::size_t, unsigned>, FaultKind> _byIndex;
     std::vector<LabelFault> _byLabel;
-    mutable std::mutex _firedMutex;
-    /** Consumed one-shot entries: label-fault index, or vector size
-     *  plus the by-index entry's ordinal. */
-    mutable std::set<std::size_t> _fired;
     mutable std::atomic<std::uint64_t> _transientsRaised{0};
     mutable std::atomic<std::uint64_t> _permanentsRaised{0};
     mutable std::atomic<std::uint64_t> _hangsRaised{0};

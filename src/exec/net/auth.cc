@@ -173,14 +173,9 @@ toHex(const Sha256Digest &digest)
 
 std::string
 authProof(const std::string &token, const std::string &challenge,
-          const std::string &sessionId, const std::string &name)
+          const std::string &name)
 {
-    std::string message;
-    message.reserve(challenge.size() + sessionId.size() +
-                    name.size());
-    message += challenge;
-    message += sessionId;
-    message += name;
+    const std::string message = challenge + name;
     return toHex(hmacSha256(token, message.data(), message.size()));
 }
 

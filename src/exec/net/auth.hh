@@ -6,7 +6,7 @@
  * both sides read at startup). Joining the fleet is a challenge-
  * response: the controller sends a fresh random nonce in its
  * HelloAck, the worker answers with HMAC-SHA256(token, nonce ||
- * session id || worker name), and the controller verifies the proof
+ * worker name), and the controller verifies the proof
  * before registering the worker or granting any lease. Because the
  * nonce is fresh per connection, a captured proof replayed on a new
  * connection fails verification — replay is counted and dropped with
@@ -50,13 +50,12 @@ Sha256Digest hmacSha256(const std::string &key, const void *data,
 std::string toHex(const Sha256Digest &digest);
 
 /**
- * The handshake proof: hex HMAC-SHA256 of challenge || sessionId ||
- * name under the shared token. Both sides compute it; the controller
- * compares in constant time.
+ * The handshake proof: hex HMAC-SHA256 of challenge || name under
+ * the shared token. Both sides compute it; the controller compares in
+ * constant time.
  */
 std::string authProof(const std::string &token,
                       const std::string &challenge,
-                      const std::string &sessionId,
                       const std::string &name);
 
 /**
@@ -75,8 +74,7 @@ std::string loadAuthToken(const std::string &path);
 
 /**
  * A fresh random 32-hex-character nonce from std::random_device,
- * used as the per-connection handshake challenge and as the default
- * worker session id.
+ * used as the per-connection handshake challenge.
  */
 std::string randomNonce();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
 #include "exec/net/auth.hh"
@@ -28,16 +27,6 @@ toString(LeaseEvent::Kind kind)
         return "late-result";
       case LeaseEvent::Kind::AuthRejected:
         return "auth-rejected";
-      case LeaseEvent::Kind::SessionRejected:
-        return "session-rejected";
-      case LeaseEvent::Kind::SessionParked:
-        return "session-parked";
-      case LeaseEvent::Kind::SessionResumed:
-        return "session-resumed";
-      case LeaseEvent::Kind::SessionExpired:
-        return "session-expired";
-      case LeaseEvent::Kind::WorkerDraining:
-        return "worker-draining";
     }
     return "unknown";
 }
@@ -65,19 +54,13 @@ struct CampaignController::Worker
 {
     int fd = -1;
     std::string name;
-    /** Durable session identity; survives reconnects. */
-    std::string sessionId;
     unsigned slots = 1;
     unsigned inFlight = 0;
     /** Silent past the lease: no new grants until a heartbeat. */
     bool lapsed = false;
     /** Connection finished; kept out of every decision. */
     bool gone = false;
-    /** Announced a drain: no new grants, in-flight cells finish. */
-    bool draining = false;
     std::chrono::steady_clock::time_point lastSeen;
-    /** When the session was parked (meaningful while in _parked). */
-    std::chrono::steady_clock::time_point parkedAt;
 };
 
 /** One outstanding grant. */
@@ -150,10 +133,8 @@ CampaignController::~CampaignController()
             }
             shutdownSocket(worker->fd);
         }
-        // Parked sessions hold only dead fds; just forget them. A
-        // connection still mid-handshake is blocked in a read —
+        // A connection still mid-handshake is blocked in a read —
         // shut its socket so the thread can be joined below.
-        _parked.clear();
         for (const int handshake_fd : _handshakeFds)
             shutdownSocket(handshake_fd);
         _cv.notify_all();
@@ -198,10 +179,8 @@ CampaignController::setMetrics(obs::MetricsRegistry *metrics)
     const std::lock_guard<std::mutex> lock(_mutex);
     if (metrics == nullptr) {
         _joinedCounter = _lostCounter = _grantedCounter =
-            _reclaimedCounter = _lateCounter = _parkedCounter =
-                _resumedCounter = _expiredCounter =
-                    _sessionRejectedCounter = _authAcceptedCounter =
-                        _authRejectedCounter = nullptr;
+            _reclaimedCounter = _lateCounter = _authAcceptedCounter =
+                _authRejectedCounter = nullptr;
         _connectedGauge = nullptr;
         return;
     }
@@ -210,11 +189,6 @@ CampaignController::setMetrics(obs::MetricsRegistry *metrics)
     _grantedCounter = &metrics->counter("net.leases.granted");
     _reclaimedCounter = &metrics->counter("net.leases.reclaimed");
     _lateCounter = &metrics->counter("net.results.late");
-    _parkedCounter = &metrics->counter("net.sessions.parked");
-    _resumedCounter = &metrics->counter("net.sessions.resumed");
-    _expiredCounter = &metrics->counter("net.sessions.expired");
-    _sessionRejectedCounter =
-        &metrics->counter("net.sessions.rejected");
     _authAcceptedCounter = &metrics->counter("net.auth.accepted");
     _authRejectedCounter = &metrics->counter("net.auth.rejected");
     _connectedGauge = &metrics->gauge("net.workers.connected");
@@ -257,34 +231,6 @@ CampaignController::lateResults() const
 }
 
 std::uint64_t
-CampaignController::sessionsParked() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsParked;
-}
-
-std::uint64_t
-CampaignController::sessionsResumed() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsResumed;
-}
-
-std::uint64_t
-CampaignController::sessionsExpired() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsExpired;
-}
-
-std::uint64_t
-CampaignController::sessionsRejected() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _sessionsRejected;
-}
-
-std::uint64_t
 CampaignController::authAccepted() const
 {
     const std::lock_guard<std::mutex> lock(_mutex);
@@ -296,49 +242,6 @@ CampaignController::authRejected() const
 {
     const std::lock_guard<std::mutex> lock(_mutex);
     return _authRejected;
-}
-
-bool
-CampaignController::draining() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _draining;
-}
-
-void
-CampaignController::beginDrain(std::chrono::milliseconds waitInFlight)
-{
-    std::unique_lock<std::mutex> lock(_mutex);
-    if (_draining || _shutdown)
-        return;
-    // Phase 1: stop granting. pumpLocked and execute() both gate on
-    // _draining, so from here no new lease leaves the controller.
-    _draining = true;
-    _cv.notify_all();
-    // Phase 2: let in-flight cells finish. The wait is bounded by
-    // the caller's budget — a silent worker cannot stall the drain
-    // past the lease clock, because the monitor reclaims its leases
-    // (erasing them) on schedule.
-    _cv.wait_for(lock, waitInFlight, [&] { return _leases.empty(); });
-    // Phase 3: fail whatever remains so every blocked execute()
-    // unwinds. The cells live on in the journal-resume path.
-    const auto fail = [](const std::shared_ptr<Pending> &pending) {
-        if (pending->done)
-            return;
-        pending->error = std::make_exception_ptr(TransientFault(
-            "controller draining: cell '" + pending->label +
-            "' left for the journal resume"));
-        pending->done = true;
-    };
-    for (const auto &pending : _queue)
-        fail(pending);
-    for (const auto &entry : _leases)
-        fail(entry.second.pending);
-    _queue.clear();
-    _leases.clear();
-    // Parked sessions have nothing left to resume into.
-    _parked.clear();
-    _cv.notify_all();
 }
 
 double
@@ -360,10 +263,6 @@ CampaignController::execute(const SimJob &job,
             throw TransientFault(
                 "campaign controller is shut down (job '" + job.label +
                 "')");
-        if (_draining)
-            throw TransientFault(
-                "controller draining: cell '" + job.label +
-                "' left for the journal resume");
         _queue.push_back(pending);
         pumpLocked();
         _cv.wait(lock, [&] { return pending->done; });
@@ -398,17 +297,17 @@ CampaignController::acceptLoop()
 namespace
 {
 
-/** Send a SessionAck rejecting the handshake (best-effort). */
+/** Send a JoinAck rejecting the handshake (best-effort). */
 void
-sendSessionReject(int fd, const std::string &reason)
+sendJoinReject(int fd, const std::string &reason)
 {
-    SessionAck nack;
+    JoinAck nack;
     nack.accepted = false;
     nack.reason = reason;
     proc::Writer body;
     nack.serialize(body);
     try {
-        sendMessage(fd, MsgType::SessionAck, body.bytes());
+        sendMessage(fd, MsgType::JoinAck, body.bytes());
     } catch (const std::exception &) {
         // The peer is gone; it was being rejected anyway.
     }
@@ -422,13 +321,13 @@ CampaignController::performHandshake(OwnedFd &fd)
     std::vector<std::byte> payload;
     if (!recvMessage(fd.get(), payload)) {
         const std::lock_guard<std::mutex> lock(_mutex);
-        authRejectedLocked("", "", "connection closed before hello");
+        authRejectedLocked("", "connection closed before hello");
         return nullptr;
     }
     proc::Reader in(payload);
     if (readType(in) != MsgType::Hello) {
         const std::lock_guard<std::mutex> lock(_mutex);
-        authRejectedLocked("", "", "first message was not hello");
+        authRejectedLocked("", "first message was not hello");
         return nullptr;
     }
     const Hello hello = Hello::deserialize(in);
@@ -448,8 +347,6 @@ CampaignController::performHandshake(OwnedFd &fd)
         ack.reason = "empty worker name";
     else if (hello.slots == 0)
         ack.reason = "zero worker slots";
-    else if (hello.sessionId.empty())
-        ack.reason = "empty session id";
     else
         ack.accepted = true;
     ack.authRequired =
@@ -461,7 +358,7 @@ CampaignController::performHandshake(OwnedFd &fd)
     sendMessage(fd.get(), MsgType::HelloAck, ack_body.bytes());
     if (!ack.accepted) {
         const std::lock_guard<std::mutex> lock(_mutex);
-        authRejectedLocked(hello.name, hello.sessionId, ack.reason);
+        authRejectedLocked(hello.name, ack.reason);
         return nullptr;
     }
 
@@ -469,131 +366,59 @@ CampaignController::performHandshake(OwnedFd &fd)
         std::vector<std::byte> proof_payload;
         if (!recvMessage(fd.get(), proof_payload)) {
             const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
+            authRejectedLocked(hello.name,
                                "connection closed before auth proof");
             return nullptr;
         }
         proc::Reader proof_in(proof_payload);
         if (readType(proof_in) != MsgType::AuthProof) {
-            sendSessionReject(fd.get(), "auth proof required");
+            sendJoinReject(fd.get(), "auth proof required");
             const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
+            authRejectedLocked(hello.name,
                                "auth proof required but not sent");
             return nullptr;
         }
         const AuthProofMsg proof =
             AuthProofMsg::deserialize(proof_in);
         const std::string expected =
-            authProof(_options.authToken, ack.challenge,
-                      hello.sessionId, hello.name);
+            authProof(_options.authToken, ack.challenge, hello.name);
         if (!constantTimeEquals(proof.proof, expected)) {
-            sendSessionReject(fd.get(), "bad auth proof");
+            sendJoinReject(fd.get(), "bad auth proof");
             const std::lock_guard<std::mutex> lock(_mutex);
-            authRejectedLocked(hello.name, hello.sessionId,
-                               "bad auth proof");
+            authRejectedLocked(hello.name, "bad auth proof");
             return nullptr;
         }
     }
 
-    // Registration: resume a parked session, or join fresh. The
-    // verdict (SessionAck) is sent under the lock so no lease can
-    // be granted to a half-registered worker.
+    // Registration. The verdict (JoinAck) is sent under the lock so
+    // no lease can be granted to a half-registered worker.
     const std::lock_guard<std::mutex> lock(_mutex);
     if (_shutdown)
         return nullptr;
-    for (const std::shared_ptr<Worker> &live : _workers) {
-        if (live->gone || live->sessionId != hello.sessionId)
-            continue;
-        sendSessionReject(fd.get(), "session id already active");
-        _sessionsRejected += 1;
-        if (_sessionRejectedCounter != nullptr)
-            _sessionRejectedCounter->add();
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::SessionRejected;
-        event.worker = hello.name;
-        event.session = hello.sessionId;
-        event.detail = "session id already active on worker '" +
-                       live->name + "'";
-        emitLocked(std::move(event));
-        return nullptr;
-    }
-
-    std::shared_ptr<Worker> worker;
-    bool resumed = false;
-    std::uint32_t retained = 0;
-    const auto parked_it = _parked.find(hello.sessionId);
-    if (parked_it != _parked.end()) {
-        // Lease handback: adopt the parked session onto this
-        // connection. Leases the worker still remembers stay live;
-        // the rest (e.g. eaten by a drill mid-partition) requeue.
-        worker = parked_it->second;
-        _parked.erase(parked_it);
-        worker->fd = fd.get();
-        worker->name = hello.name;
-        worker->slots = hello.slots;
-        worker->gone = false;
-        worker->lapsed = false;
-        worker->draining = false;
-        worker->lastSeen = std::chrono::steady_clock::now();
-        const std::unordered_set<std::uint64_t> held(
-            hello.heldLeases.begin(), hello.heldLeases.end());
-        for (auto it = _leases.begin(); it != _leases.end();) {
-            if (it->second.worker != worker) {
-                ++it;
-                continue;
-            }
-            if (held.count(it->first) != 0) {
-                ++it;
-                retained += 1;
-                continue;
-            }
-            it = reclaimLeaseLocked(it,
-                                    "lease not held after reconnect");
-        }
-        worker->inFlight = retained;
-        resumed = true;
-        _sessionsResumed += 1;
-        if (_resumedCounter != nullptr)
-            _resumedCounter->add();
-        _workers.push_back(worker);
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::SessionResumed;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.detail =
-            std::to_string(retained) + " lease(s) retained";
-        emitLocked(std::move(event));
-    } else {
-        worker = std::make_shared<Worker>();
-        worker->fd = fd.get();
-        worker->name = hello.name;
-        worker->sessionId = hello.sessionId;
-        worker->slots = hello.slots;
-        worker->lastSeen = std::chrono::steady_clock::now();
-        _workers.push_back(worker);
-        if (_joinedCounter != nullptr)
-            _joinedCounter->add();
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::WorkerJoined;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.detail = std::to_string(worker->slots) + " slot(s)";
-        emitLocked(std::move(event));
-    }
+    auto worker = std::make_shared<Worker>();
+    worker->fd = fd.get();
+    worker->name = hello.name;
+    worker->slots = hello.slots;
+    worker->lastSeen = std::chrono::steady_clock::now();
+    _workers.push_back(worker);
+    if (_joinedCounter != nullptr)
+        _joinedCounter->add();
+    LeaseEvent event;
+    event.kind = LeaseEvent::Kind::WorkerJoined;
+    event.worker = worker->name;
+    event.detail = std::to_string(worker->slots) + " slot(s)";
+    emitLocked(std::move(event));
     if (ack.authRequired) {
         _authAccepted += 1;
         if (_authAcceptedCounter != nullptr)
             _authAcceptedCounter->add();
     }
 
-    SessionAck verdict;
+    JoinAck verdict;
     verdict.accepted = true;
-    verdict.resumed = resumed;
-    verdict.retainedLeases = retained;
     proc::Writer verdict_body;
     verdict.serialize(verdict_body);
-    sendMessage(fd.get(), MsgType::SessionAck,
-                verdict_body.bytes());
+    sendMessage(fd.get(), MsgType::JoinAck, verdict_body.bytes());
 
     updateConnectedGaugeLocked();
     _cv.notify_all();
@@ -619,7 +444,7 @@ CampaignController::serveConnection(int rawFd)
         const std::lock_guard<std::mutex> lock(_mutex);
         _handshakeFds.erase(fd.get());
         authRejectedLocked(
-            "", "", std::string("malformed handshake: ") + e.what());
+            "", std::string("malformed handshake: ") + e.what());
         return;
     }
     {
@@ -648,19 +473,6 @@ CampaignController::serveConnection(int rawFd)
                 break;
               case MsgType::JobDone:
                 handleJobDoneLocked(worker, reader);
-                break;
-              case MsgType::Drain:
-                if (!worker->draining) {
-                    worker->draining = true;
-                    LeaseEvent event;
-                    event.kind = LeaseEvent::Kind::WorkerDraining;
-                    event.worker = worker->name;
-                    event.session = worker->sessionId;
-                    event.detail = "no further leases; " +
-                                   std::to_string(worker->inFlight) +
-                                   " cell(s) finishing";
-                    emitLocked(std::move(event));
-                }
                 break;
               default:
                 throw proc::ProtocolError(
@@ -700,44 +512,11 @@ CampaignController::monitorLoop()
             LeaseEvent event;
             event.kind = LeaseEvent::Kind::WorkerLapsed;
             event.worker = worker->name;
-            event.session = worker->sessionId;
             event.detail =
                 "silent past the " +
                 std::to_string(_options.lease.count()) + " ms lease";
             emitLocked(std::move(event));
             reclaimLeasesLocked(worker, "heartbeat lapse");
-        }
-        // Parked sessions past the grace window fall back to the
-        // ordinary reclaim path: requeue the leases and report the
-        // worker lost, exactly as if parking never happened.
-        for (auto it = _parked.begin(); it != _parked.end();) {
-            const std::shared_ptr<Worker> worker = it->second;
-            if (now - worker->parkedAt <= _options.sessionGrace) {
-                ++it;
-                continue;
-            }
-            it = _parked.erase(it);
-            _sessionsExpired += 1;
-            if (_expiredCounter != nullptr)
-                _expiredCounter->add();
-            LeaseEvent event;
-            event.kind = LeaseEvent::Kind::SessionExpired;
-            event.worker = worker->name;
-            event.session = worker->sessionId;
-            event.detail =
-                "no reconnect within the " +
-                std::to_string(_options.sessionGrace.count()) +
-                " ms grace window";
-            emitLocked(std::move(event));
-            reclaimLeasesLocked(worker, "session grace expired");
-            if (_lostCounter != nullptr)
-                _lostCounter->add();
-            LeaseEvent lost;
-            lost.kind = LeaseEvent::Kind::WorkerLost;
-            lost.worker = worker->name;
-            lost.session = worker->sessionId;
-            lost.detail = "session grace expired";
-            emitLocked(std::move(lost));
         }
         pumpLocked();
     }
@@ -746,10 +525,6 @@ CampaignController::monitorLoop()
 void
 CampaignController::pumpLocked()
 {
-    // A draining controller grants nothing: in-flight cells finish,
-    // everything queued waits for the journal resume.
-    if (_draining)
-        return;
     for (;;) {
         if (_queue.empty())
             return;
@@ -759,7 +534,7 @@ CampaignController::pumpLocked()
         std::shared_ptr<Worker> chosen;
         std::shared_ptr<Worker> fallback;
         for (const std::shared_ptr<Worker> &worker : _workers) {
-            if (worker->gone || worker->lapsed || worker->draining ||
+            if (worker->gone || worker->lapsed ||
                 worker->inFlight >= worker->slots)
                 continue;
             if (pending->triedWorkers.count(worker->name) != 0) {
@@ -799,44 +574,6 @@ CampaignController::pumpLocked()
     }
 }
 
-std::map<std::uint64_t, CampaignController::Lease>::iterator
-CampaignController::reclaimLeaseLocked(
-    std::map<std::uint64_t, Lease>::iterator it,
-    const std::string &reason)
-{
-    const std::uint64_t lease_id = it->first;
-    const std::shared_ptr<Worker> holder = it->second.worker;
-    const std::shared_ptr<Pending> pending = it->second.pending;
-    const auto next = _leases.erase(it);
-    pending->requeues += 1;
-    pending->triedWorkers.insert(holder->name);
-    _leasesReclaimed += 1;
-    if (_reclaimedCounter != nullptr)
-        _reclaimedCounter->add();
-    LeaseEvent event;
-    event.kind = LeaseEvent::Kind::LeaseReclaimed;
-    event.worker = holder->name;
-    event.session = holder->sessionId;
-    event.leaseId = lease_id;
-    event.label = pending->label;
-    event.detail = reason;
-    event.requeues = pending->requeues;
-    emitLocked(std::move(event));
-    if (pending->triedWorkers.size() > _options.maxMigrations) {
-        pending->error = std::make_exception_ptr(TransientFault(
-            "cell '" + pending->label + "' lost its lease on " +
-            std::to_string(pending->triedWorkers.size()) +
-            " distinct workers (last: " + holder->name + ", " +
-            reason + ")"));
-        pending->done = true;
-    } else {
-        // Front of the queue: a migrated cell is the oldest work
-        // in flight and should land on a healthy worker first.
-        _queue.push_front(pending);
-    }
-    return next;
-}
-
 void
 CampaignController::reclaimLeasesLocked(
     const std::shared_ptr<Worker> &worker, const std::string &reason)
@@ -846,7 +583,34 @@ CampaignController::reclaimLeasesLocked(
             ++it;
             continue;
         }
-        it = reclaimLeaseLocked(it, reason);
+        const std::uint64_t lease_id = it->first;
+        const std::shared_ptr<Pending> pending = it->second.pending;
+        it = _leases.erase(it);
+        pending->requeues += 1;
+        pending->triedWorkers.insert(worker->name);
+        _leasesReclaimed += 1;
+        if (_reclaimedCounter != nullptr)
+            _reclaimedCounter->add();
+        LeaseEvent event;
+        event.kind = LeaseEvent::Kind::LeaseReclaimed;
+        event.worker = worker->name;
+        event.leaseId = lease_id;
+        event.label = pending->label;
+        event.detail = reason;
+        event.requeues = pending->requeues;
+        emitLocked(std::move(event));
+        if (pending->triedWorkers.size() > _options.maxMigrations) {
+            pending->error = std::make_exception_ptr(TransientFault(
+                "cell '" + pending->label + "' lost its lease on " +
+                std::to_string(pending->triedWorkers.size()) +
+                " distinct workers (last: " + worker->name + ", " +
+                reason + ")"));
+            pending->done = true;
+        } else {
+            // Front of the queue: a migrated cell is the oldest work
+            // in flight and should land on a healthy worker first.
+            _queue.push_front(pending);
+        }
     }
     worker->inFlight = 0;
     _cv.notify_all();
@@ -854,7 +618,6 @@ CampaignController::reclaimLeasesLocked(
 
 void
 CampaignController::authRejectedLocked(const std::string &name,
-                                       const std::string &session,
                                        const std::string &reason)
 {
     if (_shutdown)
@@ -865,7 +628,6 @@ CampaignController::authRejectedLocked(const std::string &name,
     LeaseEvent event;
     event.kind = LeaseEvent::Kind::AuthRejected;
     event.worker = name;
-    event.session = session;
     event.detail = reason;
     emitLocked(std::move(event));
 }
@@ -882,37 +644,6 @@ CampaignController::workerGoneLocked(
     _workers.erase(
         std::remove(_workers.begin(), _workers.end(), worker),
         _workers.end());
-    const bool holds_leases = std::any_of(
-        _leases.begin(), _leases.end(),
-        [&](const auto &entry) { return entry.second.worker == worker; });
-    if (holds_leases && !worker->lapsed && !worker->draining &&
-        !_draining && _options.sessionGrace.count() > 0 &&
-        !worker->sessionId.empty()) {
-        // Park instead of reclaim: the connection broke but the
-        // worker may still be computing. Its leases stay live for
-        // the grace window so a reconnect with the same session id
-        // can hand the results back with zero requeues. The lease
-        // clock still rules: a worker silent past the lease lapses
-        // (handled above the park check) and is reclaimed, so
-        // parking never extends the failure-detection bound.
-        worker->parkedAt = std::chrono::steady_clock::now();
-        _parked[worker->sessionId] = worker;
-        _sessionsParked += 1;
-        if (_parkedCounter != nullptr)
-            _parkedCounter->add();
-        updateConnectedGaugeLocked();
-        LeaseEvent event;
-        event.kind = LeaseEvent::Kind::SessionParked;
-        event.worker = worker->name;
-        event.session = worker->sessionId;
-        event.detail =
-            reason + "; holding lease(s) for " +
-            std::to_string(_options.sessionGrace.count()) + " ms";
-        emitLocked(std::move(event));
-        _cv.notify_all();
-        pumpLocked();
-        return;
-    }
     reclaimLeasesLocked(worker, reason);
     if (_lostCounter != nullptr)
         _lostCounter->add();
@@ -920,7 +651,6 @@ CampaignController::workerGoneLocked(
     LeaseEvent event;
     event.kind = LeaseEvent::Kind::WorkerLost;
     event.worker = worker->name;
-    event.session = worker->sessionId;
     event.detail = reason;
     emitLocked(std::move(event));
     _cv.notify_all();
@@ -944,7 +674,6 @@ CampaignController::handleJobDoneLocked(
         LeaseEvent event;
         event.kind = LeaseEvent::Kind::LateResult;
         event.worker = worker->name;
-        event.session = worker->sessionId;
         event.leaseId = lease_id;
         event.detail = "result on a reclaimed lease rejected";
         emitLocked(std::move(event));

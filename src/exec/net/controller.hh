@@ -19,40 +19,22 @@
  * TransientFault, handing escalation to the existing FaultPolicy
  * retry/backoff machinery (and, with collectFailures, quarantine). A
  * result arriving on a reclaimed lease — the stalled worker woke up
- * late, or a lost worker reconnected — is counted and dropped, never
- * double-recorded: the fsync'd ResultJournal upstream stays the
- * single source of truth and no cell runs twice into it.
+ * late — is counted and dropped, never double-recorded: the fsync'd
+ * ResultJournal upstream stays the single source of truth and no cell
+ * runs twice into it. A broken connection always means a lost worker:
+ * its leases are reclaimed at once.
  *
  * Liveness bookkeeping is purely heartbeat-driven: a healthy worker
  * may hold one cell for longer than the lease duration as long as it
  * keeps heartbeating — the lease clock measures silence, not runtime
  * — so legitimately slow cells are never reclaimed spuriously.
  *
- * Session resume. A broken connection is not always a dead worker:
- * on a flaky network the same process usually comes right back. Each
- * worker presents a durable session id in its Hello; when its
- * connection breaks while it holds leases, the controller *parks*
- * the session for `sessionGrace` instead of reclaiming — the leases
- * stay live, no cell is requeued. A reconnect with the same session
- * id inside the grace window adopts the parked session: leases the
- * worker still holds (declared in Hello::heldLeases) survive, and
- * results the worker computed during the partition are handed back
- * on the new connection under their original lease ids. Leases the
- * worker no longer remembers, or whose grace window lapsed, fall
- * back to the ordinary reclaim/requeue/migration path. A session id
- * that is already live is rejected (split-brain protection).
- *
  * Authentication. With a non-empty authToken the handshake becomes a
  * challenge-response: HelloAck carries a fresh random nonce and the
- * worker must answer AuthProof = HMAC-SHA256(token, nonce || session
- * id || name) before it is registered or granted anything. Bad,
- * missing, or replayed proofs (a stale proof covers a stale nonce)
- * are counted in net.auth.rejected and the connection is dropped.
- *
- * Drain. beginDrain() stops granting leases, waits (bounded) for
- * in-flight cells to finish, then fails whatever remains with
- * TransientFault — so a SIGTERM'd campaign exits with a journal that
- * resumes exactly where the drain cut it off.
+ * worker must answer AuthProof = HMAC-SHA256(token, nonce || name)
+ * before it is registered or granted anything. Bad, missing, or
+ * replayed proofs (a stale proof covers a stale nonce) are counted in
+ * net.auth.rejected and the connection is dropped.
  */
 
 #ifndef RIGOR_EXEC_NET_CONTROLLER_HH
@@ -103,13 +85,6 @@ struct ControllerOptions
      *  stops migrating it and throws TransientFault. */
     unsigned maxMigrations = 3;
     /**
-     * How long a disconnected worker's session (and its leases) is
-     * parked awaiting a reconnect before the leases fall back to
-     * reclaim/requeue. Zero disables parking: every broken
-     * connection reclaims immediately (the pre-session behavior).
-     */
-    std::chrono::milliseconds sessionGrace{0};
-    /**
      * Shared fleet token. Empty disables authentication; non-empty
      * demands an HMAC challenge-response in every handshake before
      * a worker is registered or granted a lease.
@@ -150,28 +125,11 @@ struct LeaseEvent
         /** A handshake failed authentication (bad/missing/replayed
          *  proof, malformed hello) and was dropped leaseless. */
         AuthRejected,
-        /** A handshake presented a session id that is already live
-         *  and was dropped (split-brain protection). */
-        SessionRejected,
-        /** A connection broke while its worker held leases; the
-         *  session is parked for the grace window. */
-        SessionParked,
-        /** A parked session's worker reconnected in time; its
-         *  surviving leases stay live (no requeues). */
-        SessionResumed,
-        /** A parked session outlived the grace window; its leases
-         *  fall back to reclaim/requeue. */
-        SessionExpired,
-        /** A worker announced it is draining; it gets no further
-         *  leases while its in-flight cells finish. */
-        WorkerDraining,
     };
 
     Kind kind = Kind::WorkerJoined;
     /** Worker the event concerns. */
     std::string worker;
-    /** Durable session id of that worker ("" pre-handshake). */
-    std::string session;
     /** Lease id (LeaseReclaimed / LateResult; 0 otherwise). */
     std::uint64_t leaseId = 0;
     /** Cell label (LeaseReclaimed; empty otherwise). */
@@ -215,9 +173,8 @@ class CampaignController
     /**
      * Attach (or detach, with nullptr) a metrics registry. Counters:
      * net.workers.joined, net.workers.lost, net.leases.granted,
-     * net.leases.reclaimed, net.results.late, net.sessions.parked,
-     * net.sessions.resumed, net.sessions.expired,
-     * net.sessions.rejected, net.auth.accepted, net.auth.rejected.
+     * net.leases.reclaimed, net.results.late, net.auth.accepted,
+     * net.auth.rejected.
      * Gauge: net.workers.connected. Not owned.
      */
     void setMetrics(obs::MetricsRegistry *metrics);
@@ -237,26 +194,10 @@ class CampaignController
      *  counterpart of ProcWorkerPool::simulateFn(). */
     SimulateFn simulateFn();
 
-    /**
-     * Stop granting leases, wait up to @p waitInFlight for in-flight
-     * cells to finish (the lease clock bounds how long a silent
-     * worker can stall this), then fail every remaining cell with
-     * TransientFault so the campaign unwinds with a resumable
-     * journal. Idempotent; safe from a signal-watcher thread.
-     */
-    void beginDrain(std::chrono::milliseconds waitInFlight);
-
-    /** True once beginDrain() has been called. */
-    bool draining() const;
-
     /** Lifetime totals (for tests and drills). */
     std::uint64_t leasesGranted() const;
     std::uint64_t leasesReclaimed() const;
     std::uint64_t lateResults() const;
-    std::uint64_t sessionsParked() const;
-    std::uint64_t sessionsResumed() const;
-    std::uint64_t sessionsExpired() const;
-    std::uint64_t sessionsRejected() const;
     std::uint64_t authAccepted() const;
     std::uint64_t authRejected() const;
 
@@ -267,20 +208,16 @@ class CampaignController
 
     void acceptLoop();
     void serveConnection(int rawFd);
-    /** Run the v2 handshake (validation, auth challenge, session
-     *  resume/registration). Returns the registered worker, or
+    /** Run the handshake (validation, auth challenge,
+     *  registration). Returns the registered worker, or
      *  nullptr when the connection was rejected (already counted and
      *  emitted). Throws on transport errors mid-handshake. */
     std::shared_ptr<Worker> performHandshake(OwnedFd &fd);
     void monitorLoop();
     /** Grant queued cells to free, live, un-lapsed workers. */
     void pumpLocked();
-    /** Reclaim one lease (erase, count, requeue or escalate).
-     *  Returns the iterator past the erased lease. */
-    std::map<std::uint64_t, Lease>::iterator
-    reclaimLeaseLocked(std::map<std::uint64_t, Lease>::iterator it,
-                       const std::string &reason);
-    /** Reclaim every lease of @p worker and requeue its cells. */
+    /** Reclaim every lease of @p worker: requeue each cell, or
+     *  fail it once it has lost its lease on too many workers. */
     void reclaimLeasesLocked(const std::shared_ptr<Worker> &worker,
                              const std::string &reason);
     void workerGoneLocked(const std::shared_ptr<Worker> &worker,
@@ -289,7 +226,6 @@ class CampaignController
                              proc::Reader &in);
     /** Count + emit a leaseless handshake rejection. */
     void authRejectedLocked(const std::string &name,
-                            const std::string &session,
                             const std::string &reason);
     void emitLocked(LeaseEvent event);
     void updateConnectedGaugeLocked();
@@ -301,12 +237,9 @@ class CampaignController
     mutable std::mutex _mutex;
     std::condition_variable _cv;
     bool _shutdown = false;
-    bool _draining = false;
     std::deque<std::shared_ptr<Pending>> _queue;
     std::map<std::uint64_t, Lease> _leases;
     std::vector<std::shared_ptr<Worker>> _workers;
-    /** Disconnected-but-parked sessions, keyed by session id. */
-    std::map<std::string, std::shared_ptr<Worker>> _parked;
     /** Fds still inside performHandshake, so the destructor can
      *  unblock their reads. */
     std::set<int> _handshakeFds;
@@ -314,10 +247,6 @@ class CampaignController
     std::uint64_t _leasesGranted = 0;
     std::uint64_t _leasesReclaimed = 0;
     std::uint64_t _lateResults = 0;
-    std::uint64_t _sessionsParked = 0;
-    std::uint64_t _sessionsResumed = 0;
-    std::uint64_t _sessionsExpired = 0;
-    std::uint64_t _sessionsRejected = 0;
     std::uint64_t _authAccepted = 0;
     std::uint64_t _authRejected = 0;
     LeaseObserver _observer;
@@ -326,10 +255,6 @@ class CampaignController
     obs::Counter *_grantedCounter = nullptr;
     obs::Counter *_reclaimedCounter = nullptr;
     obs::Counter *_lateCounter = nullptr;
-    obs::Counter *_parkedCounter = nullptr;
-    obs::Counter *_resumedCounter = nullptr;
-    obs::Counter *_expiredCounter = nullptr;
-    obs::Counter *_sessionRejectedCounter = nullptr;
     obs::Counter *_authAcceptedCounter = nullptr;
     obs::Counter *_authRejectedCounter = nullptr;
     obs::Gauge *_connectedGauge = nullptr;

@@ -42,34 +42,18 @@ struct Assignment
     proc::JobRequest request;
 };
 
-/** State carried across reconnects of one runRemoteWorker call. */
-struct ResumeState
-{
-    /** Assignments not yet executed when the connection broke; they
-     *  still hold their leases and run under the resumed session. */
-    std::deque<Assignment> assignments;
-    /** Results computed but not delivered (connection died first);
-     *  handed back as JobDone frames right after a resume. */
-    std::vector<std::pair<std::uint64_t, proc::JobResult>> unsent;
-    /** Pending reconnect-storm drill cycles. */
-    unsigned stormRounds = 0;
-};
-
-/** Client side of the v2 handshake. */
+/** Client side of the handshake. */
 struct ClientHandshake
 {
-    /** False = transport closed mid-handshake (retryable). */
+    /** False = transport closed mid-handshake. */
     bool connected = false;
     bool accepted = false;
-    bool resumed = false;
     std::string reason;
     HelloAck ack;
 };
 
 ClientHandshake
-clientHandshake(int fd, const std::string &name,
-                const std::string &sessionId, unsigned slots,
-                const std::vector<std::uint64_t> &heldLeases,
+clientHandshake(int fd, const std::string &name, unsigned slots,
                 const std::string &authToken)
 {
     ClientHandshake out;
@@ -77,8 +61,6 @@ clientHandshake(int fd, const std::string &name,
     hello.slots =
         static_cast<std::uint16_t>(std::min(slots, 65535u));
     hello.name = name;
-    hello.sessionId = sessionId;
-    hello.heldLeases = heldLeases;
     proc::Writer hello_body;
     hello.serialize(hello_body);
     sendMessage(fd, MsgType::Hello, hello_body.bytes());
@@ -101,8 +83,7 @@ clientHandshake(int fd, const std::string &name,
         // Empty token still answers (with a proof that cannot
         // verify): the controller's rejection is the clear error.
         AuthProofMsg proof;
-        proof.proof =
-            authProof(authToken, out.ack.challenge, sessionId, name);
+        proof.proof = authProof(authToken, out.ack.challenge, name);
         proc::Writer proof_body;
         proof.serialize(proof_body);
         sendMessage(fd, MsgType::AuthProof, proof_body.bytes());
@@ -114,39 +95,34 @@ clientHandshake(int fd, const std::string &name,
         return out;
     }
     proc::Reader verdict_in(verdict_payload);
-    if (readType(verdict_in) != MsgType::SessionAck)
+    if (readType(verdict_in) != MsgType::JoinAck)
         throw proc::ProtocolError(
-            "expected session-ack from the controller");
-    const SessionAck verdict = SessionAck::deserialize(verdict_in);
+            "expected join-ack from the controller");
+    const JoinAck verdict = JoinAck::deserialize(verdict_in);
     out.accepted = verdict.accepted;
-    out.resumed = verdict.resumed;
     out.reason = verdict.reason;
     return out;
 }
 
 /** Shared state of one worker connection. */
-class Session
+class Connection
 {
   public:
-    Session(const RemoteWorkerOptions &options, OwnedFd fd,
-            const HelloAck &ack, ResumeState *resume,
-            std::string sessionId, std::string name)
-        : _options(options), _fd(std::move(fd)), _resume(resume),
-          _sessionId(std::move(sessionId)), _name(std::move(name)),
+    Connection(const RemoteWorkerOptions &options, OwnedFd fd,
+               const HelloAck &ack)
+        : _options(options), _fd(std::move(fd)),
           _lease(std::chrono::milliseconds(ack.leaseMs)),
           _heartbeat(std::chrono::milliseconds(ack.heartbeatMs))
     {
-        // Carried-over assignments still hold their leases: they run
-        // first, on this connection.
-        _assignments.swap(_resume->assignments);
-        _heartbeatThread = std::thread(&Session::heartbeatLoop, this);
+        _heartbeatThread =
+            std::thread(&Connection::heartbeatLoop, this);
         const unsigned slots = std::max(1u, options.slots);
         _executors.reserve(slots);
         for (unsigned i = 0; i < slots; ++i)
-            _executors.emplace_back(&Session::executorLoop, this);
+            _executors.emplace_back(&Connection::executorLoop, this);
     }
 
-    ~Session()
+    ~Connection()
     {
         stop();
         if (_heartbeatThread.joinable())
@@ -154,29 +130,16 @@ class Session
         for (std::thread &executor : _executors)
             if (executor.joinable())
                 executor.join();
-        // Whatever never ran carries over to the next connection
-        // (single-threaded now: every worker thread is joined).
-        while (!_assignments.empty()) {
-            _resume->assignments.push_back(
-                std::move(_assignments.front()));
-            _assignments.pop_front();
-        }
     }
 
     /** Read frames until Shutdown / EOF; returns how it ended. */
-    RemoteWorkerSession serve(bool resumedSession)
+    RemoteWorkerSession serve()
     {
-        if (resumedSession)
-            flushUnsent();
         RemoteWorkerSession outcome;
         try {
             for (;;) {
                 std::vector<std::byte> payload;
                 if (!recvMessage(_fd.get(), payload)) {
-                    if (_drainClosed.load()) {
-                        outcome.end = SessionEnd::Drained;
-                        break;
-                    }
                     outcome.end = SessionEnd::ConnectionLost;
                     outcome.error = _dropped.load()
                                         ? "drill dropped the connection"
@@ -207,12 +170,8 @@ class Session
                 _wake.notify_all();
             }
         } catch (const std::exception &e) {
-            if (_drainClosed.load()) {
-                outcome.end = SessionEnd::Drained;
-            } else {
-                outcome.end = SessionEnd::ConnectionLost;
-                outcome.error = e.what();
-            }
+            outcome.end = SessionEnd::ConnectionLost;
+            outcome.error = e.what();
         }
         stop();
         outcome.jobsServed = _jobsServed.load();
@@ -231,18 +190,6 @@ class Session
         _wake.notify_all();
     }
 
-    /** Hand back results computed while disconnected. */
-    void flushUnsent()
-    {
-        std::vector<std::pair<std::uint64_t, proc::JobResult>> unsent;
-        {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            unsent.swap(_resume->unsent);
-        }
-        for (const auto &entry : unsent)
-            sendResult(entry.first, entry.second);
-    }
-
     void heartbeatLoop()
     {
         std::unique_lock<std::mutex> lock(_mutex);
@@ -252,28 +199,12 @@ class Session
                 return;
             if (std::chrono::steady_clock::now() < _stallUntil)
                 continue; // stall-heartbeat drill: stay silent
-            const bool draining = _options.drainFlag != nullptr &&
-                                  _options.drainFlag->load();
-            const bool idle =
-                _assignments.empty() && _active.load() == 0;
             lock.unlock();
             try {
                 const std::lock_guard<std::mutex> write(_writeMutex);
-                if (draining && !_drainSent) {
-                    sendMessage(_fd.get(), MsgType::Drain);
-                    _drainSent = true;
-                }
                 sendMessage(_fd.get(), MsgType::Heartbeat);
             } catch (const std::exception &) {
                 // Connection gone; the reader loop notices too.
-            }
-            if (draining && _drainSent && idle) {
-                // Every held cell is answered: close deliberately so
-                // the reader loop reports a drained session.
-                _drainClosed.store(true);
-                shutdownSocket(_fd.get());
-                lock.lock();
-                return;
             }
             lock.lock();
         }
@@ -292,10 +223,8 @@ class Session
                     return;
                 assignment = std::move(_assignments.front());
                 _assignments.pop_front();
-                _active.fetch_add(1);
             }
             runAssignment(assignment);
-            _active.fetch_sub(1);
         }
     }
 
@@ -320,7 +249,7 @@ class Session
         proc::JobResult result = proc::runRequest(
             assignment.request, simulate, _options.hookFactory);
         if (drill) {
-            if (!performDrill(*drill, assignment))
+            if (!performDrill(*drill))
                 return; // drill consumed the response frame
             result.status = proc::ResultStatus::Transient;
             result.message = std::string(drill->what()) +
@@ -329,63 +258,12 @@ class Session
         sendResult(assignment.leaseId, result);
     }
 
-    /** Park the job for the next (resumed) connection and slam this
-     *  one shut: the drill half of a network partition. */
-    void partitionNow(const Assignment &assignment,
-                      unsigned stormRounds)
-    {
-        {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            _resume->assignments.push_back(assignment);
-            _resume->stormRounds = stormRounds;
-        }
-        _dropped.store(true);
-        shutdownSocket(_fd.get());
-        stop();
-    }
-
-    /** Put the job back on the live queue (the one-shot drill will
-     *  not refire; the rerun executes for real). */
-    void requeueLive(const Assignment &assignment)
-    {
-        {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            _assignments.push_back(assignment);
-        }
-        _wake.notify_all();
-    }
-
-    /**
-     * Probe the controller with a hostile second handshake — same
-     * session id (split-brain probe) or a wrong token (auth probe).
-     * The rejection is asserted controller-side via the
-     * net.sessions.rejected / net.auth.rejected counters; whatever
-     * happens, the probe must not harm the real session.
-     */
-    void rogueConnect(bool duplicateSession)
-    {
-        try {
-            OwnedFd rogue = connectTcp(_options.host, _options.port);
-            const std::string session = duplicateSession
-                                            ? _sessionId
-                                            : _sessionId + "/rogue";
-            const std::string token = duplicateSession
-                                          ? _options.authToken
-                                          : "not-the-fleet-token";
-            (void)clientHandshake(rogue.get(), _name + "/rogue",
-                                  session, 1, {}, token);
-        } catch (const std::exception &) {
-            // The controller dropped the probe — the expected end.
-        }
-    }
-
     /**
      * Act out a network drill. Returns true when the caller should
      * still send a (late) JobDone, false when the drill consumed the
      * response frame (or the connection) itself.
      */
-    bool performDrill(const NetDrillFault &drill,
-                      const Assignment &assignment)
+    bool performDrill(const NetDrillFault &drill)
     {
         switch (drill.kind()) {
           case FaultKind::DropConnection:
@@ -423,65 +301,6 @@ class Session
             stop();
             return false;
           }
-          case FaultKind::Partition:
-            // The job survives the partition: it rides ResumeState
-            // into the reconnected session and completes under its
-            // original lease — zero requeues if the controller's
-            // grace window holds.
-            partitionNow(assignment, 0);
-            return false;
-          case FaultKind::ReconnectStorm:
-            // A partition followed by rapid connect/resume/hang-up
-            // cycles (run by runRemoteWorker between sessions),
-            // hammering the park/resume bookkeeping.
-            partitionNow(assignment, 3);
-            return false;
-          case FaultKind::SlowLoris: {
-            // A perfectly valid JobDone frame — delivered a few bytes
-            // at a time, the way a congested or malicious peer would.
-            // The controller's blocking reader must ride it out; the
-            // Transient verdict makes the engine rerun the attempt.
-            proc::JobResult result;
-            result.status = proc::ResultStatus::Transient;
-            result.message = std::string(drill.what()) +
-                             " — frame trickled byte by byte";
-            proc::Writer body;
-            body.pod(assignment.leaseId);
-            result.serialize(body);
-            const auto size =
-                static_cast<std::uint32_t>(1 + body.bytes().size());
-            std::vector<char> frame(sizeof(size) + size);
-            std::memcpy(frame.data(), &size, sizeof(size));
-            frame[sizeof(size)] = static_cast<char>(MsgType::JobDone);
-            std::memcpy(frame.data() + sizeof(size) + 1,
-                        body.bytes().data(), body.bytes().size());
-            const std::lock_guard<std::mutex> write(_writeMutex);
-            for (std::size_t at = 0; at < frame.size();) {
-                const std::size_t chunk =
-                    std::min<std::size_t>(7, frame.size() - at);
-                const ssize_t wrote = ::send(
-                    _fd.get(), frame.data() + at, chunk,
-                    MSG_NOSIGNAL);
-                if (wrote < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    break; // connection died; reader loop reports it
-                }
-                at += static_cast<std::size_t>(wrote);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
-            _jobsServed.fetch_add(1);
-            return false;
-          }
-          case FaultKind::DuplicateSession:
-            rogueConnect(true);
-            requeueLive(assignment);
-            return false;
-          case FaultKind::TokenMismatch:
-            rogueConnect(false);
-            requeueLive(assignment);
-            return false;
           default:
             // Not a net kind (cannot happen: the injector only wraps
             // net kinds in NetDrillFault).
@@ -500,19 +319,13 @@ class Session
             sendMessage(_fd.get(), MsgType::JobDone, body.bytes());
             _jobsServed.fetch_add(1);
         } catch (const std::exception &) {
-            // Connection died under us: keep the result for the
-            // resumed session's handback (the reader loop reports
-            // the loss).
-            const std::lock_guard<std::mutex> lock(_mutex);
-            _resume->unsent.emplace_back(leaseId, result);
+            // Connection died under us; the reader loop reports the
+            // loss and the controller requeues the cell.
         }
     }
 
     const RemoteWorkerOptions &_options;
     OwnedFd _fd;
-    ResumeState *_resume;
-    const std::string _sessionId;
-    const std::string _name;
     const std::chrono::milliseconds _lease;
     const std::chrono::milliseconds _heartbeat;
 
@@ -523,11 +336,8 @@ class Session
     std::chrono::steady_clock::time_point _stallUntil{};
 
     std::mutex _writeMutex;
-    bool _drainSent = false;
-    std::atomic<unsigned> _active{0};
     std::atomic<std::uint64_t> _jobsServed{0};
     std::atomic<bool> _dropped{false};
-    std::atomic<bool> _drainClosed{false};
 
     std::thread _heartbeatThread;
     std::vector<std::thread> _executors;
@@ -545,8 +355,6 @@ toString(SessionEnd end)
         return "connection-lost";
       case SessionEnd::Rejected:
         return "rejected";
-      case SessionEnd::Drained:
-        return "drained";
     }
     return "unknown";
 }
@@ -556,105 +364,29 @@ runRemoteWorker(const RemoteWorkerOptions &options)
 {
     const std::string name =
         options.name.empty() ? defaultWorkerName() : options.name;
-    const std::string session_id =
-        options.sessionId.empty() ? name + "/" + randomNonce()
-                                  : options.sessionId;
     const unsigned slots = options.slots == 0 ? 1u : options.slots;
 
-    ResumeState resume;
-    RemoteWorkerSession total;
-    unsigned reconnects_left = options.reconnectAttempts;
-
-    // Only the first connect throws: once a session existed, every
-    // failure is reported in the session record instead.
+    // Only the connect throws: once connected, every failure is
+    // reported in the returned record instead.
     OwnedFd fd = connectTcp(options.host, options.port);
-
-    for (;;) {
-        RemoteWorkerSession outcome;
-        try {
-            std::vector<std::uint64_t> held;
-            held.reserve(resume.assignments.size() +
-                         resume.unsent.size());
-            for (const Assignment &assignment : resume.assignments)
-                held.push_back(assignment.leaseId);
-            for (const auto &entry : resume.unsent)
-                held.push_back(entry.first);
-            const ClientHandshake shake =
-                clientHandshake(fd.get(), name, session_id, slots,
-                                held, options.authToken);
-            if (!shake.connected) {
-                outcome.end = SessionEnd::ConnectionLost;
-                outcome.error = "controller closed during handshake";
-            } else if (!shake.accepted) {
-                // A reconnect can race the controller noticing the
-                // old connection's EOF: "already active" is the one
-                // retryable rejection.
-                const bool racing_old_self =
-                    shake.reason.find("already active") !=
-                        std::string::npos &&
-                    reconnects_left > 0;
-                if (!racing_old_self) {
-                    total.end = SessionEnd::Rejected;
-                    total.error = shake.reason;
-                    return total;
-                }
-                outcome.end = SessionEnd::ConnectionLost;
-                outcome.error = shake.reason;
-            } else {
-                if (shake.resumed) {
-                    total.resumes += 1;
-                } else {
-                    // Not resumed: the controller requeued whatever
-                    // we carried; those lease ids are dead.
-                    resume.assignments.clear();
-                    resume.unsent.clear();
-                }
-                Session session(options, std::move(fd), shake.ack,
-                                &resume, session_id, name);
-                outcome = session.serve(shake.resumed);
-            }
-        } catch (const std::exception &e) {
-            outcome.end = SessionEnd::ConnectionLost;
-            outcome.error = e.what();
+    RemoteWorkerSession outcome;
+    try {
+        const ClientHandshake shake =
+            clientHandshake(fd.get(), name, slots, options.authToken);
+        if (!shake.connected) {
+            outcome.error = "controller closed during handshake";
+        } else if (!shake.accepted) {
+            outcome.end = SessionEnd::Rejected;
+            outcome.error = shake.reason;
+        } else {
+            Connection connection(options, std::move(fd), shake.ack);
+            outcome = connection.serve();
         }
-        total.jobsServed += outcome.jobsServed;
-        total.end = outcome.end;
-        total.error = outcome.error;
-        if (outcome.end != SessionEnd::ConnectionLost)
-            return total; // Shutdown or Drained: deliberate ends
-
-        // Reconnect-storm drill: rapid connect/resume/hang-up cycles
-        // before the real reconnect, hammering park/resume.
-        while (resume.stormRounds > 0) {
-            resume.stormRounds -= 1;
-            try {
-                OwnedFd storm =
-                    connectTcp(options.host, options.port);
-                std::vector<std::uint64_t> held;
-                for (const Assignment &assignment :
-                     resume.assignments)
-                    held.push_back(assignment.leaseId);
-                for (const auto &entry : resume.unsent)
-                    held.push_back(entry.first);
-                (void)clientHandshake(storm.get(), name, session_id,
-                                      slots, held, options.authToken);
-                // Hang up immediately: the controller parks us again.
-            } catch (const std::exception &) {
-                break;
-            }
-        }
-
-        if (reconnects_left == 0)
-            return total;
-        reconnects_left -= 1;
-        std::this_thread::sleep_for(options.reconnectDelay);
-        try {
-            fd = connectTcp(options.host, options.port);
-        } catch (const std::exception &e) {
-            total.error = e.what();
-            return total;
-        }
+    } catch (const std::exception &e) {
+        outcome.end = SessionEnd::ConnectionLost;
+        outcome.error = e.what();
     }
+    return outcome;
 }
 
 } // namespace rigor::exec::net

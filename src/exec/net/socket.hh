@@ -17,7 +17,7 @@
  * socket(), accept4() for accepted connections): the
  * process-isolation backend forks sandbox workers from the same
  * process, and a forked child must not inherit the controller's
- * listening fd or any live session socket. All blocking calls are
+ * listening fd or any live connection socket. All blocking calls are
  * EINTR-safe; an interrupted connect() is completed via
  * poll(POLLOUT) + SO_ERROR rather than re-calling connect (which
  * would misreport the in-progress attempt as EALREADY). Frame

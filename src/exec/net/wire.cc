@@ -56,10 +56,8 @@ toString(MsgType type)
         return "shutdown";
       case MsgType::AuthProof:
         return "auth-proof";
-      case MsgType::SessionAck:
-        return "session-ack";
-      case MsgType::Drain:
-        return "drain";
+      case MsgType::JoinAck:
+        return "join-ack";
     }
     return "unknown";
 }
@@ -71,10 +69,6 @@ Hello::serialize(proc::Writer &out) const
     out.pod(version);
     out.pod(slots);
     out.str(name);
-    out.str(sessionId);
-    out.pod(static_cast<std::uint32_t>(heldLeases.size()));
-    for (const std::uint64_t lease : heldLeases)
-        out.pod(lease);
 }
 
 Hello
@@ -85,11 +79,6 @@ Hello::deserialize(proc::Reader &in)
     hello.version = in.pod<std::uint16_t>();
     hello.slots = in.pod<std::uint16_t>();
     hello.name = in.str();
-    hello.sessionId = in.str();
-    const auto count = in.pod<std::uint32_t>();
-    hello.heldLeases.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        hello.heldLeases.push_back(in.pod<std::uint64_t>());
     return hello;
 }
 
@@ -132,22 +121,18 @@ AuthProofMsg::deserialize(proc::Reader &in)
 }
 
 void
-SessionAck::serialize(proc::Writer &out) const
+JoinAck::serialize(proc::Writer &out) const
 {
     out.pod(accepted);
     out.str(reason);
-    out.pod(resumed);
-    out.pod(retainedLeases);
 }
 
-SessionAck
-SessionAck::deserialize(proc::Reader &in)
+JoinAck
+JoinAck::deserialize(proc::Reader &in)
 {
-    SessionAck ack;
+    JoinAck ack;
     ack.accepted = in.pod<bool>();
     ack.reason = in.str();
-    ack.resumed = in.pod<bool>();
-    ack.retainedLeases = in.pod<std::uint32_t>();
     return ack;
 }
 
@@ -180,7 +165,7 @@ readType(proc::Reader &in)
 {
     const auto raw = in.pod<std::uint8_t>();
     if (raw < static_cast<std::uint8_t>(MsgType::Hello) ||
-        raw > static_cast<std::uint8_t>(MsgType::Drain))
+        raw > static_cast<std::uint8_t>(MsgType::JoinAck))
         throw proc::ProtocolError("unknown message tag " +
                                   std::to_string(raw));
     return static_cast<MsgType>(raw);

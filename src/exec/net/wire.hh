@@ -9,18 +9,16 @@
  * needed:
  *
  *  - a one-byte message tag on every frame (a sandbox is strictly
- *    request/response; a TCP session multiplexes job traffic with
+ *    request/response; a TCP connection multiplexes job traffic with
  *    heartbeats and shutdown);
  *  - a versioned handshake. The two sandbox ends are always the same
  *    forked binary; two TCP ends are not, so a worker opens with
- *    Hello{magic, version, slots, name, session id, held leases}
- *    and the controller answers HelloAck{accepted, lease,
- *    heartbeat, auth challenge} or rejects the session. When the
- *    controller demands authentication, the worker follows up with
- *    AuthProof (an HMAC over the challenge, see exec/net/auth.hh).
- *    Either way the handshake concludes with SessionAck, which
- *    tells the worker whether it was admitted and whether it
- *    resumed a parked session (lease handback).
+ *    Hello{magic, version, slots, name} and the controller answers
+ *    HelloAck{accepted, lease, heartbeat, auth challenge} or rejects
+ *    the worker. When the controller demands authentication, the
+ *    worker follows up with AuthProof (an HMAC over the challenge,
+ *    see exec/net/auth.hh). Either way the handshake concludes with
+ *    JoinAck, which tells the worker whether it was admitted.
  *
  * Payload bodies reuse proc::Writer / proc::Reader and the existing
  * JobRequest / JobResult serializers; job frames carry a lease id in
@@ -42,18 +40,17 @@ namespace rigor::exec::net
 
 /** Protocol magic ("RGN1") leading every Hello. */
 inline constexpr std::uint32_t kWireMagic = 0x52474e31;
-/** Wire protocol version; bumped on any incompatible change.
- *  Version 2 added session ids, lease handback, the authenticated
- *  handshake (AuthProof/SessionAck), and graceful drain. */
-inline constexpr std::uint16_t kWireVersion = 2;
+/** Wire protocol version; bumped on any incompatible change. A
+ *  worker speaking another version is refused at HelloAck. */
+inline constexpr std::uint16_t kWireVersion = 3;
 
 /** What one frame carries (first payload byte). */
 enum class MsgType : std::uint8_t
 {
-    /** worker -> controller: session open (magic, version, slots,
-     *  worker name, session id, held lease ids on resume). */
+    /** worker -> controller: join request (magic, version, slots,
+     *  worker name). */
     Hello = 1,
-    /** controller -> worker: session accepted/rejected + the lease
+    /** controller -> worker: join accepted/rejected + the lease
      *  and heartbeat intervals the worker must honor, plus the
      *  authentication challenge when the fleet requires a token. */
     HelloAck = 2,
@@ -65,23 +62,19 @@ enum class MsgType : std::uint8_t
     JobDone = 4,
     /** worker -> controller: liveness beacon. */
     Heartbeat = 5,
-    /** controller -> worker: drain and disconnect. */
+    /** controller -> worker: the campaign is over; disconnect. */
     Shutdown = 6,
     /** worker -> controller: HMAC answer to the HelloAck challenge
      *  (only when the controller demanded authentication). */
     AuthProof = 7,
-    /** controller -> worker: handshake verdict — admitted or not,
-     *  and whether a parked session was resumed. */
-    SessionAck = 8,
-    /** worker -> controller: the worker is draining; grant it no
-     *  further leases (in-flight jobs still complete). */
-    Drain = 9,
+    /** controller -> worker: handshake verdict — admitted or not. */
+    JoinAck = 8,
 };
 
 /** Display name for diagnostics. */
 std::string toString(MsgType type);
 
-/** Session-open request (worker -> controller). */
+/** Join request (worker -> controller). */
 struct Hello
 {
     std::uint32_t magic = kWireMagic;
@@ -91,26 +84,12 @@ struct Hello
     /** Worker identity recorded as cell provenance ("host:pid" by
      *  convention); must be non-empty. */
     std::string name;
-    /**
-     * Durable session identity, stable across reconnects of one
-     * worker process; must be non-empty. A reconnecting worker
-     * presenting the id of a parked session resumes its leases
-     * instead of being treated as a fresh join.
-     */
-    std::string sessionId;
-    /**
-     * Lease ids the worker still holds (queued, executing, or with
-     * a completed-but-undelivered result). On resume the controller
-     * keeps exactly these leases alive and requeues any parked
-     * lease the worker no longer remembers.
-     */
-    std::vector<std::uint64_t> heldLeases;
 
     void serialize(proc::Writer &out) const;
     static Hello deserialize(proc::Reader &in);
 };
 
-/** Session-open response (controller -> worker). */
+/** Join response (controller -> worker). */
 struct HelloAck
 {
     bool accepted = false;
@@ -135,7 +114,7 @@ struct HelloAck
 /** Authentication answer (worker -> controller). */
 struct AuthProofMsg
 {
-    /** Hex HMAC-SHA256(token, challenge || sessionId || name). */
+    /** Hex HMAC-SHA256(token, challenge || name). */
     std::string proof;
 
     void serialize(proc::Writer &out) const;
@@ -143,19 +122,14 @@ struct AuthProofMsg
 };
 
 /** Handshake conclusion (controller -> worker). */
-struct SessionAck
+struct JoinAck
 {
     bool accepted = false;
     /** Rejection reason; empty when accepted. */
     std::string reason;
-    /** The connection resumed a parked session: its surviving
-     *  leases stay live and buffered results may be handed back. */
-    bool resumed = false;
-    /** Leases still live for a resumed session (0 on fresh join). */
-    std::uint32_t retainedLeases = 0;
 
     void serialize(proc::Writer &out) const;
-    static SessionAck deserialize(proc::Reader &in);
+    static JoinAck deserialize(proc::Reader &in);
 };
 
 /**

@@ -113,7 +113,10 @@ closeInheritedFds(int keep)
 
 /**
  * The child main loop: answer JobRequest frames on @p fd until the
- * parent closes its end. A std::bad_alloc from the executor means the
+ * parent closes its end. Each request is acknowledged with an empty
+ * frame before it runs, so the parent can tell a child that died
+ * idle (no acknowledgement) from one that died on the attempt. A
+ * std::bad_alloc from the executor means the
  * RLIMIT_AS cap is exhausted; composing a failure message could throw
  * again, so it is reported through the exit code instead. Anything
  * the child cannot catch — SIGSEGV, SIGABRT, the kernel OOM killer,
@@ -136,6 +139,7 @@ serveChild(int fd, const ProcWorkerPool::Options &options)
         try {
             if (!readFrame(fd, frame))
                 std::_Exit(0); // the parent closed its end: shutdown
+            writeFrame(fd, {}); // acknowledgement: the attempt is ours
             Reader reader(frame);
             const JobResult result =
                 runRequest(JobRequest::deserialize(reader), simulate,
@@ -397,40 +401,50 @@ ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
     });
     Slot &slot = *free_slot;
     slot.busy = true;
-
-    // Dispatch. A request frame is far below the socket's buffer, so
-    // the write never blocks; EPIPE means the worker died idle — an
-    // incident of the *worker*, not this job, so respawn and retry.
-    for (int dispatch = 0;; ++dispatch) {
-        try {
-            writeFrame(slot.worker.fd, writer.bytes());
-            break;
-        } catch (const ProtocolError &) {
-            int status = 0;
-            if (slot.worker.pid > 0)
-                ::waitpid(slot.worker.pid, &status, 0);
-            respawnLocked(slot, describeWaitStatus(status));
-            if (dispatch >= 2) {
-                slot.busy = false;
-                _freeCv.notify_one();
-                throw TransientFault(
-                    "sandbox workers kept dying before accepting "
-                    "job " +
-                    jobIdentity(job));
-            }
-        }
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() + _options.hardDeadline;
-    const SandboxWorker worker = slot.worker;
     lock.unlock();
 
-    // Block for the outcome with the lock released. This thread is
-    // the watchdog: past the hard deadline it SIGKILLs its own child,
-    // and whatever the child wrote by then is discarded.
-    const bool killed = _options.hardDeadline.count() > 0 &&
-                        !readableBefore(worker.fd, deadline);
+    // Dispatch. The slot is ours while busy, so its socket is used
+    // without the lock. A worker that dies before acknowledging the
+    // request — EPIPE on the write, EOF or an overdue acknowledgement
+    // — died idle: an incident of the *worker*, not this job, so
+    // reap, respawn, and redispatch.
+    const bool watchdog = _options.hardDeadline.count() > 0;
+    std::chrono::steady_clock::time_point deadline;
     std::vector<std::byte> frame;
+    for (int dispatch = 0;; ++dispatch) {
+        deadline =
+            std::chrono::steady_clock::now() + _options.hardDeadline;
+        bool overdue = false;
+        try {
+            writeFrame(slot.worker.fd, writer.bytes());
+            overdue =
+                watchdog && !readableBefore(slot.worker.fd, deadline);
+            if (!overdue && readFrame(slot.worker.fd, frame))
+                break;
+        } catch (const ProtocolError &) {
+        }
+        int status = 0;
+        if (slot.worker.pid > 0) {
+            if (overdue)
+                ::kill(slot.worker.pid, SIGKILL);
+            ::waitpid(slot.worker.pid, &status, 0);
+        }
+        const std::lock_guard<std::mutex> relock(_mutex);
+        respawnLocked(slot, describeWaitStatus(status));
+        if (dispatch >= 2) {
+            slot.busy = false;
+            _freeCv.notify_one();
+            throw TransientFault(
+                "sandbox workers kept dying before accepting job " +
+                jobIdentity(job));
+        }
+    }
+    const SandboxWorker worker = slot.worker;
+
+    // Block for the outcome. This thread is the watchdog: past the
+    // hard deadline it SIGKILLs its own child, and whatever the child
+    // wrote by then is discarded.
+    const bool killed = watchdog && !readableBefore(worker.fd, deadline);
     bool answered = false;
     if (killed) {
         ::kill(worker.pid, SIGKILL);

@@ -16,11 +16,12 @@
  * Supervision is synchronous: the thread that dispatched an attempt
  * waits for its answer itself. With a hard deadline it polls the
  * socket for the time left and, on expiry, SIGKILLs its own child (no
- * cooperation needed — the kill lands mid-instruction). A worker that
- * died while idle is found at the next dispatch (EPIPE), reaped,
- * respawned, and the attempt redispatched. A death mid-attempt (EOF
- * on the socket) is classified from the wait status back into the
- * engine's fault taxonomy:
+ * cooperation needed — the kill lands mid-instruction). A child
+ * acknowledges each request before it simulates, so a worker that
+ * died while idle is found at the next dispatch (EPIPE, or no
+ * acknowledgement), reaped, respawned, and the attempt redispatched.
+ * A death after the acknowledgement (EOF on the socket) is classified
+ * from the wait status back into the engine's fault taxonomy:
  *
  *   watchdog SIGKILL           -> DeadlineExceeded   (retryable)
  *   SIGXCPU (RLIMIT_CPU)       -> DeadlineExceeded   (retryable)

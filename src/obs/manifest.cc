@@ -103,10 +103,6 @@ CampaignManifest::addLeaseEvent(const LeaseEventRecord &event)
     appendJsonString(line, event.kind);
     line += ",\"worker\":";
     appendJsonString(line, event.worker);
-    if (!event.session.empty()) {
-        line += ",\"session\":";
-        appendJsonString(line, event.session);
-    }
     if (event.leaseId != 0) {
         line += ",\"lease_id\":";
         line += std::to_string(event.leaseId);

@@ -88,20 +88,15 @@ struct CellRecord
 
 /** One lease-lifecycle event of a distributed campaign (the "lease"
  *  records): worker joins/losses, lapses, reclaims, late results,
- *  session parks/resumes/expiries, auth rejections, and drains — the
- *  audit trail behind every migrated cell. */
+ *  and auth rejections — the audit trail behind every migrated
+ *  cell. */
 struct LeaseEventRecord
 {
     /** "worker-joined" | "worker-lost" | "worker-lapsed" |
-     *  "lease-reclaimed" | "late-result" | "session-parked" |
-     *  "session-resumed" | "session-expired" | "session-rejected" |
-     *  "auth-rejected" | "worker-draining". */
+     *  "lease-reclaimed" | "late-result" | "auth-rejected". */
     std::string kind;
     /** Worker the event concerns. */
     std::string worker;
-    /** Durable session id of the worker, when known — ties a resumed
-     *  connection back to the one that parked. */
-    std::string session;
     /** Lease id, when the event concerns one (0 otherwise). */
     std::uint64_t leaseId = 0;
     /** Cell label under lease, when known. */

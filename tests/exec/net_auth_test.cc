@@ -90,22 +90,15 @@ TEST(NetAuth, HmacSha256MatchesRfc4231Vectors)
 
 TEST(NetAuth, AuthProofCoversEveryFieldOfTheChallenge)
 {
-    const std::string base =
-        net::authProof("token", "nonce", "session", "worker");
+    const std::string base = net::authProof("token", "nonce", "worker");
     EXPECT_EQ(base.size(), 64u);
     // Any field changing changes the proof: the HMAC binds the
-    // token, the fresh nonce, the session id, and the worker name.
-    EXPECT_NE(base,
-              net::authProof("other", "nonce", "session", "worker"));
-    EXPECT_NE(base,
-              net::authProof("token", "nonc2", "session", "worker"));
-    EXPECT_NE(base,
-              net::authProof("token", "nonce", "sessio2", "worker"));
-    EXPECT_NE(base,
-              net::authProof("token", "nonce", "session", "worke2"));
+    // token, the fresh nonce, and the worker name.
+    EXPECT_NE(base, net::authProof("other", "nonce", "worker"));
+    EXPECT_NE(base, net::authProof("token", "nonc2", "worker"));
+    EXPECT_NE(base, net::authProof("token", "nonce", "worke2"));
     // Deterministic: both ends compute the same proof.
-    EXPECT_EQ(base,
-              net::authProof("token", "nonce", "session", "worker"));
+    EXPECT_EQ(base, net::authProof("token", "nonce", "worker"));
 }
 
 TEST(NetAuth, ConstantTimeEqualsComparesCorrectly)

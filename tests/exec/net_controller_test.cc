@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
@@ -94,46 +97,42 @@ class FakeWorker
 
     /** Answers the controller's HMAC challenge when non-empty. */
     std::string token;
-    /** Lease ids declared in the next Hello (session resume). */
-    std::vector<std::uint64_t> heldLeases;
-    /** Verdict of the last handshake that got past HelloAck. */
-    net::SessionAck session;
 
-    /**
-     * Full v2 handshake: Hello -> HelloAck -> [AuthProof] ->
-     * SessionAck. The returned HelloAck's accepted/reason reflect
-     * the final verdict so callers can assert on one object.
-     */
-    net::HelloAck handshake(const std::string &name,
-                            std::uint16_t slots = 1,
-                            std::uint32_t magic = net::kWireMagic,
-                            std::uint16_t version = net::kWireVersion,
-                            std::string sessionId = "")
+    /** Send a Hello body as encoded and read the HelloAck. */
+    net::HelloAck hello(const proc::Writer &body)
     {
-        if (sessionId.empty())
-            sessionId = name + "/session";
-        net::Hello hello;
-        hello.magic = magic;
-        hello.version = version;
-        hello.slots = slots;
-        hello.name = name;
-        hello.sessionId = sessionId;
-        hello.heldLeases = heldLeases;
-        proc::Writer body;
-        hello.serialize(body);
         net::sendMessage(_fd.get(), net::MsgType::Hello,
                          body.bytes());
         std::vector<std::byte> payload;
         EXPECT_TRUE(net::recvMessage(_fd.get(), payload));
         proc::Reader in(payload);
         EXPECT_EQ(net::readType(in), net::MsgType::HelloAck);
-        net::HelloAck ack = net::HelloAck::deserialize(in);
+        return net::HelloAck::deserialize(in);
+    }
+
+    /**
+     * Full handshake: Hello -> HelloAck -> [AuthProof] -> JoinAck.
+     * The returned HelloAck's accepted/reason reflect the final
+     * verdict so callers can assert on one object.
+     */
+    net::HelloAck handshake(const std::string &name,
+                            std::uint16_t slots = 1,
+                            std::uint32_t magic = net::kWireMagic,
+                            std::uint16_t version = net::kWireVersion)
+    {
+        net::Hello request;
+        request.magic = magic;
+        request.version = version;
+        request.slots = slots;
+        request.name = name;
+        proc::Writer body;
+        request.serialize(body);
+        net::HelloAck ack = hello(body);
         if (!ack.accepted)
             return ack;
         if (ack.authRequired) {
             net::AuthProofMsg proof;
-            proof.proof = net::authProof(token, ack.challenge,
-                                         sessionId, name);
+            proof.proof = net::authProof(token, ack.challenge, name);
             proc::Writer proof_body;
             proof.serialize(proof_body);
             net::sendMessage(_fd.get(), net::MsgType::AuthProof,
@@ -142,16 +141,16 @@ class FakeWorker
         std::vector<std::byte> verdict_payload;
         if (!net::recvMessage(_fd.get(), verdict_payload)) {
             ack.accepted = false;
-            ack.reason = "connection closed before session ack";
+            ack.reason = "connection closed before join ack";
             return ack;
         }
         proc::Reader verdict_in(verdict_payload);
-        EXPECT_EQ(net::readType(verdict_in),
-                  net::MsgType::SessionAck);
-        session = net::SessionAck::deserialize(verdict_in);
-        ack.accepted = session.accepted;
-        if (!session.accepted)
-            ack.reason = session.reason;
+        EXPECT_EQ(net::readType(verdict_in), net::MsgType::JoinAck);
+        const net::JoinAck verdict =
+            net::JoinAck::deserialize(verdict_in);
+        ack.accepted = verdict.accepted;
+        if (!verdict.accepted)
+            ack.reason = verdict.reason;
         return ack;
     }
 
@@ -179,6 +178,33 @@ class FakeWorker
         result.serialize(body);
         net::sendMessage(_fd.get(), net::MsgType::JobDone,
                          body.bytes());
+    }
+
+    /**
+     * Send one valid JobDone frame @p chunk bytes at a time with a
+     * pause between writes, the way a congested or hostile peer
+     * would deliver it.
+     */
+    void trickleDone(std::uint64_t leaseId, const proc::JobResult &result,
+                     std::size_t chunk, std::chrono::milliseconds pause)
+    {
+        proc::Writer body;
+        body.pod(leaseId);
+        result.serialize(body);
+        const auto size =
+            static_cast<std::uint32_t>(1 + body.bytes().size());
+        std::vector<char> frame(sizeof(size) + size);
+        std::memcpy(frame.data(), &size, sizeof(size));
+        frame[sizeof(size)] = static_cast<char>(net::MsgType::JobDone);
+        std::memcpy(frame.data() + sizeof(size) + 1,
+                    body.bytes().data(), body.bytes().size());
+        for (std::size_t at = 0; at < frame.size(); at += chunk) {
+            const std::size_t n = std::min(chunk, frame.size() - at);
+            ASSERT_EQ(::send(_fd.get(), frame.data() + at, n,
+                             MSG_NOSIGNAL),
+                      static_cast<ssize_t>(n));
+            std::this_thread::sleep_for(pause);
+        }
     }
 
     void heartbeat()
@@ -239,6 +265,21 @@ TEST(NetController, HandshakeRejectsBadMagicAndEmptyName)
         "w", 1, net::kWireMagic, net::kWireVersion + 1);
     EXPECT_FALSE(version_ack.accepted);
     EXPECT_NE(version_ack.reason.find("version"), std::string::npos);
+
+    // A version-2 worker's Hello, as it encoded one: magic, version,
+    // slots, name, session id, and an empty held-lease list.
+    FakeWorker old_version(controller.port());
+    proc::Writer v2_hello;
+    v2_hello.pod(net::kWireMagic);
+    v2_hello.pod(std::uint16_t{2});
+    v2_hello.pod(std::uint16_t{1});
+    v2_hello.str("old");
+    v2_hello.str("old/session");
+    v2_hello.pod(std::uint32_t{0});
+    const net::HelloAck v2_ack = old_version.hello(v2_hello);
+    EXPECT_FALSE(v2_ack.accepted);
+    EXPECT_EQ(v2_ack.reason,
+              "unsupported protocol version 2 (controller speaks 3)");
 
     EXPECT_EQ(controller.connectedWorkers(), 0u);
 }
@@ -479,6 +520,38 @@ TEST(NetController, HeartbeatsKeepASlowWorkerLeased)
     EXPECT_EQ(result.get(), 4242.0);
     EXPECT_EQ(controller.leasesReclaimed(), 0u);
     EXPECT_EQ(controller.lateResults(), 0u);
+}
+
+TEST(NetController, TrickledResultFrameCompletesTheCellWithoutReclaim)
+{
+    // A result frame that arrives 7 bytes at a time is still one
+    // frame: the controller's blocking reader rides it out, the cell
+    // completes with that result, and no lease is reclaimed.
+    EventLog events;
+    net::CampaignController controller;
+    controller.setLeaseObserver(events.observer());
+
+    FakeWorker trickler(controller.port());
+    ASSERT_TRUE(trickler.handshake("trickler").accepted);
+
+    const rigor::trace::WorkloadProfile profile;
+    const SimJob job = makeJob(profile, "trickled cell");
+    std::future<double> result = executeAsync(controller, job, 7);
+
+    std::uint64_t lease = 0;
+    proc::JobRequest assigned;
+    ASSERT_TRUE(trickler.readAssign(lease, assigned));
+    proc::JobResult done;
+    done.status = proc::ResultStatus::Ok;
+    done.cycles = 3131.0;
+    done.message = std::string(96, 'x'); // a frame of many chunks
+    trickler.trickleDone(lease, done, 7, std::chrono::milliseconds(5));
+
+    EXPECT_EQ(result.get(), 3131.0);
+    EXPECT_EQ(controller.leasesReclaimed(), 0u);
+    EXPECT_EQ(controller.lateResults(), 0u);
+    EXPECT_FALSE(
+        events.sawKind(net::LeaseEvent::Kind::LeaseReclaimed));
 }
 
 // ----- Injected network drills through a real worker -----

@@ -1,12 +1,9 @@
 /**
- * Fleet hardening under unreliable networks: session parking and
- * lease handback across reconnects, grace-window expiry falling back
- * to reclaim, split-brain (duplicate session id) rejection, the
- * HMAC challenge-response handshake (accept, wrong token, replay),
- * a malformed-handshake fuzz table (truncated, oversized, bad tag,
- * wrong first message, instant EOF — none may wedge the controller
- * or leak a lease), controller drain, worker drain, and the
- * close-on-exec guarantee on every socket the net layer opens.
+ * Fleet hardening: the HMAC challenge-response handshake (accept,
+ * wrong token, replay), a malformed-handshake fuzz table (truncated,
+ * oversized, bad tag, wrong first message, instant EOF — none may
+ * wedge the controller or leak a lease), and the close-on-exec
+ * guarantee on every socket the net layer opens.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +11,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -26,10 +22,8 @@
 #include <thread>
 #include <vector>
 
-#include "exec/fault_policy.hh"
 #include "exec/net/auth.hh"
 #include "exec/net/controller.hh"
-#include "exec/net/remote_worker.hh"
 #include "exec/net/socket.hh"
 #include "exec/net/wire.hh"
 #include "exec/proc/protocol.hh"
@@ -39,16 +33,9 @@ namespace net = rigor::exec::net;
 namespace proc = rigor::exec::proc;
 using rigor::exec::AttemptContext;
 using rigor::exec::SimJob;
-using rigor::exec::TransientFault;
 
 namespace
 {
-
-double
-stubResponse(const SimJob &, const AttemptContext &ctx)
-{
-    return 1000.0 + static_cast<double>(ctx.jobIndex);
-}
 
 bool
 waitUntil(const std::function<bool()> &pred,
@@ -76,12 +63,6 @@ class EventLog
         };
     }
 
-    std::vector<net::LeaseEvent> snapshot() const
-    {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        return _events;
-    }
-
     bool sawKind(net::LeaseEvent::Kind kind) const
     {
         const std::lock_guard<std::mutex> lock(_mutex);
@@ -96,7 +77,7 @@ class EventLog
     std::vector<net::LeaseEvent> _events;
 };
 
-/** Scripted worker speaking the raw v2 wire protocol. */
+/** Scripted worker speaking the raw wire protocol. */
 class FakeWorker
 {
   public:
@@ -106,20 +87,13 @@ class FakeWorker
     }
 
     std::string token;
-    std::vector<std::uint64_t> heldLeases;
-    net::SessionAck session;
 
     net::HelloAck handshake(const std::string &name,
-                            std::string sessionId = "",
                             std::uint16_t slots = 1)
     {
-        if (sessionId.empty())
-            sessionId = name + "/session";
         net::Hello hello;
         hello.slots = slots;
         hello.name = name;
-        hello.sessionId = sessionId;
-        hello.heldLeases = heldLeases;
         proc::Writer body;
         hello.serialize(body);
         net::sendMessage(_fd.get(), net::MsgType::Hello,
@@ -133,8 +107,7 @@ class FakeWorker
             return ack;
         if (ack.authRequired) {
             net::AuthProofMsg proof;
-            proof.proof = net::authProof(token, ack.challenge,
-                                         sessionId, name);
+            proof.proof = net::authProof(token, ack.challenge, name);
             proc::Writer proof_body;
             proof.serialize(proof_body);
             net::sendMessage(_fd.get(), net::MsgType::AuthProof,
@@ -143,16 +116,16 @@ class FakeWorker
         std::vector<std::byte> verdict_payload;
         if (!net::recvMessage(_fd.get(), verdict_payload)) {
             ack.accepted = false;
-            ack.reason = "connection closed before session ack";
+            ack.reason = "connection closed before join ack";
             return ack;
         }
         proc::Reader verdict_in(verdict_payload);
-        EXPECT_EQ(net::readType(verdict_in),
-                  net::MsgType::SessionAck);
-        session = net::SessionAck::deserialize(verdict_in);
-        ack.accepted = session.accepted;
-        if (!session.accepted)
-            ack.reason = session.reason;
+        EXPECT_EQ(net::readType(verdict_in), net::MsgType::JoinAck);
+        const net::JoinAck verdict =
+            net::JoinAck::deserialize(verdict_in);
+        ack.accepted = verdict.accepted;
+        if (!verdict.accepted)
+            ack.reason = verdict.reason;
         return ack;
     }
 
@@ -180,8 +153,6 @@ class FakeWorker
         net::sendMessage(_fd.get(), net::MsgType::JobDone,
                          body.bytes());
     }
-
-    void disconnect() { _fd.reset(); }
 
     int fd() const { return _fd.get(); }
 
@@ -213,154 +184,6 @@ executeAsync(net::CampaignController &controller, const SimJob &job,
 }
 
 } // namespace
-
-// ----- Session resume: park, handback, expiry, split-brain -----
-
-TEST(NetSession, DisconnectParksAndReconnectHandsTheLeaseBack)
-{
-    net::ControllerOptions options;
-    options.sessionGrace = std::chrono::milliseconds(5000);
-    EventLog events;
-    net::CampaignController controller(options);
-    controller.setLeaseObserver(events.observer());
-
-    auto ghost = std::make_unique<FakeWorker>(controller.port());
-    ASSERT_TRUE(ghost->handshake("ghost", "ghost/s1").accepted);
-
-    const rigor::trace::WorkloadProfile profile;
-    const SimJob job = makeJob(profile, "partitioned cell");
-    std::future<double> result = executeAsync(controller, job, 7);
-
-    std::uint64_t lease = 0;
-    proc::JobRequest assigned;
-    ASSERT_TRUE(ghost->readAssign(lease, assigned));
-
-    // The connection breaks mid-lease: the session must park, and
-    // nothing may be requeued while the grace clock runs.
-    ghost->disconnect();
-    ASSERT_TRUE(
-        waitUntil([&] { return controller.sessionsParked() == 1; }));
-    EXPECT_EQ(controller.leasesReclaimed(), 0u);
-    EXPECT_EQ(controller.connectedWorkers(), 0u);
-
-    // Reconnect with the same session id, still holding the lease:
-    // the result computed during the partition hands back on the new
-    // connection under the original lease id.
-    FakeWorker revenant(controller.port());
-    revenant.heldLeases = {lease};
-    const net::HelloAck ack =
-        revenant.handshake("ghost", "ghost/s1");
-    ASSERT_TRUE(ack.accepted) << ack.reason;
-    EXPECT_TRUE(revenant.session.resumed);
-    EXPECT_EQ(revenant.session.retainedLeases, 1u);
-    revenant.sendDone(lease, 4321.0);
-
-    EXPECT_EQ(result.get(), 4321.0);
-    EXPECT_EQ(controller.leasesReclaimed(), 0u);
-    EXPECT_EQ(controller.sessionsResumed(), 1u);
-    EXPECT_EQ(controller.lateResults(), 0u);
-    EXPECT_TRUE(
-        events.sawKind(net::LeaseEvent::Kind::SessionParked));
-    EXPECT_TRUE(
-        events.sawKind(net::LeaseEvent::Kind::SessionResumed));
-}
-
-TEST(NetSession, ResumeRequeuesLeasesTheWorkerNoLongerHolds)
-{
-    net::ControllerOptions options;
-    options.sessionGrace = std::chrono::milliseconds(5000);
-    net::CampaignController controller(options);
-
-    auto amnesiac = std::make_unique<FakeWorker>(controller.port());
-    ASSERT_TRUE(amnesiac->handshake("amnesiac", "amn/s1").accepted);
-
-    const rigor::trace::WorkloadProfile profile;
-    const SimJob job = makeJob(profile, "forgotten cell");
-    std::future<double> result = executeAsync(controller, job, 2);
-
-    std::uint64_t lease = 0;
-    proc::JobRequest assigned;
-    ASSERT_TRUE(amnesiac->readAssign(lease, assigned));
-    amnesiac->disconnect();
-    ASSERT_TRUE(
-        waitUntil([&] { return controller.sessionsParked() == 1; }));
-
-    // Resume declaring no held leases: the parked lease must requeue
-    // (reclaim path) and land back on this same worker.
-    FakeWorker back(controller.port());
-    const net::HelloAck ack = back.handshake("amnesiac", "amn/s1");
-    ASSERT_TRUE(ack.accepted) << ack.reason;
-    EXPECT_TRUE(back.session.resumed);
-    EXPECT_EQ(back.session.retainedLeases, 0u);
-    EXPECT_EQ(controller.leasesReclaimed(), 1u);
-
-    std::uint64_t release = 0;
-    ASSERT_TRUE(back.readAssign(release, assigned));
-    EXPECT_NE(release, lease);
-    back.sendDone(release, 2222.0);
-    EXPECT_EQ(result.get(), 2222.0);
-}
-
-TEST(NetSession, GraceExpiryFallsBackToReclaimAndMigration)
-{
-    net::ControllerOptions options;
-    options.sessionGrace = std::chrono::milliseconds(100);
-    options.heartbeat = std::chrono::milliseconds(25);
-    EventLog events;
-    auto controller =
-        std::make_unique<net::CampaignController>(options);
-    controller->setLeaseObserver(events.observer());
-
-    auto doomed = std::make_unique<FakeWorker>(controller->port());
-    ASSERT_TRUE(doomed->handshake("doomed", "doom/s1").accepted);
-
-    const rigor::trace::WorkloadProfile profile;
-    const SimJob job = makeJob(profile, "expired cell");
-    std::future<double> result = executeAsync(*controller, job, 5);
-
-    std::uint64_t lease = 0;
-    proc::JobRequest assigned;
-    ASSERT_TRUE(doomed->readAssign(lease, assigned));
-    doomed->disconnect();
-
-    // No reconnect inside the grace window: the session expires and
-    // the cell migrates to a healthy worker.
-    std::thread rescuer([port = controller->port()] {
-        net::RemoteWorkerOptions opts;
-        opts.port = port;
-        opts.name = "rescuer";
-        opts.simulate = stubResponse;
-        (void)net::runRemoteWorker(opts);
-    });
-
-    EXPECT_EQ(result.get(), 1005.0);
-    EXPECT_EQ(controller->sessionsParked(), 1u);
-    EXPECT_EQ(controller->sessionsExpired(), 1u);
-    EXPECT_GE(controller->leasesReclaimed(), 1u);
-    EXPECT_TRUE(
-        events.sawKind(net::LeaseEvent::Kind::SessionExpired));
-    EXPECT_TRUE(events.sawKind(net::LeaseEvent::Kind::WorkerLost));
-
-    controller.reset();
-    rescuer.join();
-}
-
-TEST(NetSession, DuplicateLiveSessionIdIsRejected)
-{
-    net::CampaignController controller;
-
-    FakeWorker original(controller.port());
-    ASSERT_TRUE(original.handshake("orig", "shared/id").accepted);
-
-    FakeWorker impostor(controller.port());
-    const net::HelloAck ack =
-        impostor.handshake("impostor", "shared/id");
-    EXPECT_FALSE(ack.accepted);
-    EXPECT_NE(ack.reason.find("already active"), std::string::npos)
-        << ack.reason;
-    EXPECT_EQ(controller.sessionsRejected(), 1u);
-    EXPECT_EQ(controller.connectedWorkers(), 1u);
-}
 
 // ----- Authenticated handshake -----
 
@@ -415,7 +238,6 @@ TEST(NetAuthHandshake, ReplayedProofFailsTheFreshChallenge)
             net::connectTcp("127.0.0.1", controller.port());
         net::Hello hello;
         hello.name = "eavesdropper";
-        hello.sessionId = "eaves/s1";
         proc::Writer body;
         hello.serialize(body);
         net::sendMessage(fd.get(), net::MsgType::Hello,
@@ -427,7 +249,7 @@ TEST(NetAuthHandshake, ReplayedProofFailsTheFreshChallenge)
         const net::HelloAck ack = net::HelloAck::deserialize(in);
         ASSERT_TRUE(ack.authRequired);
         stale_proof = net::authProof("fleet-secret", ack.challenge,
-                                     "eaves/s1", "eavesdropper");
+                                     "eavesdropper");
         // ...then abandon the connection without answering.
     }
 
@@ -437,7 +259,6 @@ TEST(NetAuthHandshake, ReplayedProofFailsTheFreshChallenge)
         net::connectTcp("127.0.0.1", controller.port());
     net::Hello hello;
     hello.name = "eavesdropper";
-    hello.sessionId = "eaves/s1";
     proc::Writer body;
     hello.serialize(body);
     net::sendMessage(fd.get(), net::MsgType::Hello, body.bytes());
@@ -455,9 +276,8 @@ TEST(NetAuthHandshake, ReplayedProofFailsTheFreshChallenge)
     std::vector<std::byte> verdict_payload;
     ASSERT_TRUE(net::recvMessage(fd.get(), verdict_payload));
     proc::Reader verdict_in(verdict_payload);
-    ASSERT_EQ(net::readType(verdict_in), net::MsgType::SessionAck);
-    const net::SessionAck verdict =
-        net::SessionAck::deserialize(verdict_in);
+    ASSERT_EQ(net::readType(verdict_in), net::MsgType::JoinAck);
+    const net::JoinAck verdict = net::JoinAck::deserialize(verdict_in);
     EXPECT_FALSE(verdict.accepted);
     EXPECT_NE(verdict.reason.find("bad auth proof"),
               std::string::npos)
@@ -530,7 +350,6 @@ TEST(NetFuzz, MalformedHandshakesAreCountedDroppedAndHarmless)
         net::Hello hello;
         hello.magic = 0xdeadbeef;
         hello.name = "m";
-        hello.sessionId = "m/s";
         proc::Writer body;
         hello.serialize(body);
         net::sendMessage(bad_magic.fd(), net::MsgType::Hello,
@@ -542,7 +361,6 @@ TEST(NetFuzz, MalformedHandshakesAreCountedDroppedAndHarmless)
         net::Hello hello;
         hello.version = 1;
         hello.name = "v";
-        hello.sessionId = "v/s";
         proc::Writer body;
         hello.serialize(body);
         net::sendMessage(old_version.fd(), net::MsgType::Hello,
@@ -556,19 +374,9 @@ TEST(NetFuzz, MalformedHandshakesAreCountedDroppedAndHarmless)
     }
     expected_rejects += 1;
     {
-        FakeWorker no_session(port);
-        net::Hello hello;
-        hello.name = "n";
-        proc::Writer body; // sessionId left empty
-        hello.serialize(body);
-        net::sendMessage(no_session.fd(), net::MsgType::Hello,
-                         body.bytes());
-    }
-    expected_rejects += 1;
-    {
         FakeWorker zero_slots(port);
         const net::HelloAck ack =
-            zero_slots.handshake("z", "z/s", 0);
+            zero_slots.handshake("z", 0);
         EXPECT_FALSE(ack.accepted);
     }
     expected_rejects += 1;
@@ -578,7 +386,6 @@ TEST(NetFuzz, MalformedHandshakesAreCountedDroppedAndHarmless)
         FakeWorker mute(port);
         net::Hello hello;
         hello.name = "mute";
-        hello.sessionId = "mute/s";
         proc::Writer body;
         hello.serialize(body);
         net::sendMessage(mute.fd(), net::MsgType::Hello,
@@ -610,92 +417,6 @@ TEST(NetFuzz, MalformedHandshakesAreCountedDroppedAndHarmless)
     ASSERT_TRUE(member.readAssign(lease, assigned));
     member.sendDone(lease, 1234.0);
     EXPECT_EQ(result.get(), 1234.0);
-}
-
-// ----- Graceful drain -----
-
-TEST(NetDrain, BeginDrainFinishesInFlightAndFailsQueuedCells)
-{
-    net::CampaignController controller;
-
-    FakeWorker worker(controller.port());
-    ASSERT_TRUE(worker.handshake("steady").accepted);
-
-    const rigor::trace::WorkloadProfile profile;
-    const SimJob in_flight_job = makeJob(profile, "in-flight cell");
-    const SimJob queued_job = makeJob(profile, "queued cell");
-    std::future<double> in_flight =
-        executeAsync(controller, in_flight_job, 1);
-
-    std::uint64_t lease = 0;
-    proc::JobRequest assigned;
-    ASSERT_TRUE(worker.readAssign(lease, assigned));
-
-    // One slot held: the second cell queues behind it.
-    std::future<double> queued =
-        executeAsync(controller, queued_job, 2);
-
-    std::thread drainer([&controller] {
-        controller.beginDrain(std::chrono::milliseconds(5000));
-    });
-    ASSERT_TRUE(waitUntil([&] { return controller.draining(); }));
-
-    // The in-flight cell finishes normally under the drain...
-    worker.sendDone(lease, 7777.0);
-    EXPECT_EQ(in_flight.get(), 7777.0);
-
-    // ...and the queued cell is failed back resumably, not run.
-    try {
-        queued.get();
-        FAIL() << "queued cell must fail under drain";
-    } catch (const TransientFault &e) {
-        EXPECT_NE(std::string(e.what()).find("draining"),
-                  std::string::npos)
-            << e.what();
-    }
-    drainer.join();
-    EXPECT_TRUE(controller.draining());
-    EXPECT_EQ(controller.leasesReclaimed(), 0u);
-}
-
-TEST(NetDrain, WorkerDrainFlagAnnouncesFinishesAndEndsDrained)
-{
-    EventLog events;
-    auto controller = std::make_unique<net::CampaignController>();
-    controller->setLeaseObserver(events.observer());
-
-    std::atomic<bool> drain{false};
-    net::RemoteWorkerSession session;
-    std::thread worker([&, port = controller->port()] {
-        net::RemoteWorkerOptions opts;
-        opts.port = port;
-        opts.name = "drainer";
-        opts.simulate = stubResponse;
-        opts.drainFlag = &drain;
-        session = net::runRemoteWorker(opts);
-    });
-    ASSERT_TRUE(controller->waitForWorkers(
-        1, std::chrono::milliseconds(10000)));
-
-    const rigor::trace::WorkloadProfile profile;
-    const SimJob job = makeJob(profile, "pre-drain cell");
-    EXPECT_EQ(executeAsync(*controller, job, 3).get(), 1003.0);
-
-    drain.store(true);
-    worker.join();
-    EXPECT_EQ(session.end, net::SessionEnd::Drained);
-    EXPECT_EQ(session.jobsServed, 1u);
-    // The controller reads the Drain frame on its own connection
-    // thread, which may still be behind the worker's exit.
-    EXPECT_TRUE(waitUntil([&] {
-        return events.sawKind(net::LeaseEvent::Kind::WorkerDraining);
-    }));
-    EXPECT_TRUE(waitUntil(
-        [&] { return controller->connectedWorkers() == 0; }));
-    // A drained worker's exit is deliberate: nothing to reclaim.
-    EXPECT_EQ(controller->leasesReclaimed(), 0u);
-    EXPECT_EQ(controller->sessionsParked(), 0u);
-    controller.reset();
 }
 
 // ----- Socket hygiene (close-on-exec) -----

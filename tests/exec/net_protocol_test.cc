@@ -175,8 +175,6 @@ TEST(NetProtocol, HandshakeStructsRoundTrip)
     net::Hello hello;
     hello.slots = 4;
     hello.name = "rack2:4242";
-    hello.sessionId = "rack2:4242/b1946ac9";
-    hello.heldLeases = {3, 17, 42};
     proc::Writer out;
     hello.serialize(out);
     proc::Reader in(out.bytes());
@@ -185,9 +183,6 @@ TEST(NetProtocol, HandshakeStructsRoundTrip)
     EXPECT_EQ(back.version, net::kWireVersion);
     EXPECT_EQ(back.slots, 4u);
     EXPECT_EQ(back.name, "rack2:4242");
-    EXPECT_EQ(back.sessionId, "rack2:4242/b1946ac9");
-    EXPECT_EQ(back.heldLeases,
-              (std::vector<std::uint64_t>{3, 17, 42}));
     EXPECT_TRUE(in.done());
 
     net::HelloAck ack;
@@ -221,20 +216,15 @@ TEST(NetProtocol, AuthAndSessionStructsRoundTrip)
               std::string(64, 'a'));
     EXPECT_TRUE(in.done());
 
-    net::SessionAck verdict;
+    net::JoinAck verdict;
     verdict.accepted = false;
     verdict.reason = "bad auth proof";
-    verdict.resumed = true;
-    verdict.retainedLeases = 9;
     proc::Writer verdict_out;
     verdict.serialize(verdict_out);
     proc::Reader verdict_in(verdict_out.bytes());
-    const net::SessionAck back =
-        net::SessionAck::deserialize(verdict_in);
+    const net::JoinAck back = net::JoinAck::deserialize(verdict_in);
     EXPECT_FALSE(back.accepted);
     EXPECT_EQ(back.reason, "bad auth proof");
-    EXPECT_TRUE(back.resumed);
-    EXPECT_EQ(back.retainedLeases, 9u);
     EXPECT_TRUE(verdict_in.done());
 }
 

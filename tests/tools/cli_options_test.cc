@@ -65,6 +65,32 @@ TEST(CliParsers, RejectsTrailingGarbageAndEmpty)
     EXPECT_FALSE(tools::parseUint64("+3", u64));
 }
 
+TEST(CliParsers, EveryFaultKindParsesByItsName)
+{
+    // Transient..Last is the whole name table: each kind has its own
+    // name and parses back, and nothing past Last has a name.
+    const int last = static_cast<int>(exec::FaultKind::Last);
+    for (int k = 0; k <= last; ++k) {
+        const auto kind = static_cast<exec::FaultKind>(k);
+        const std::string name = exec::toString(kind);
+        EXPECT_NE(name, "unknown") << k;
+        std::string label;
+        unsigned attempt = 0;
+        exec::FaultKind parsed{};
+        ASSERT_TRUE(
+            tools::parseFaultSpec("cell:1:" + name, label, attempt, parsed))
+            << name;
+        EXPECT_EQ(parsed, kind) << name;
+    }
+    EXPECT_EQ(exec::toString(static_cast<exec::FaultKind>(last + 1)),
+              "unknown");
+    std::string label;
+    unsigned attempt = 0;
+    exec::FaultKind parsed{};
+    EXPECT_FALSE(
+        tools::parseFaultSpec("cell:1:partition", label, attempt, parsed));
+}
+
 // ----- The parse loop -----
 
 TEST(FlagTable, AcceptsBothValueSpellingsAndRejectsAValueOnABareFlag)
@@ -190,20 +216,16 @@ TEST(CampaignCliOptions, BindsExecutionFlagsWithUnitConversions)
 TEST(CampaignCliOptions, RemoteFlagsBindIntoTheControllerOptions)
 {
     CampaignTargets targets;
-    // The command line parks a lost session for 5 s by default.
-    EXPECT_EQ(targets.controller.sessionGrace.count(), 5000);
     EXPECT_EQ(targets.controller.lease.count(), 10000);
     EXPECT_EQ(targets.controller.heartbeat.count(), 1000);
     EXPECT_TRUE(targets.parse(
         {"--listen", "0.0.0.0:7000", "--lease-ms", "4000",
-         "--heartbeat-ms=500", "--session-grace-ms", "0",
-         "--auth-token-file", "token"}));
+         "--heartbeat-ms=500", "--auth-token-file", "token"}));
     EXPECT_EQ(targets.campaign.isolation, exec::IsolationMode::Remote);
     EXPECT_EQ(targets.controller.bindAddress, "0.0.0.0");
     EXPECT_EQ(targets.controller.port, 7000u);
     EXPECT_EQ(targets.controller.lease.count(), 4000);
     EXPECT_EQ(targets.controller.heartbeat.count(), 500);
-    EXPECT_EQ(targets.controller.sessionGrace.count(), 0);
     EXPECT_EQ(targets.paths.authTokenFile, "token");
     EXPECT_FALSE(targets.parse({"--lease-ms", "0"}));
     EXPECT_FALSE(targets.parse({"--heartbeat-ms", "0"}));

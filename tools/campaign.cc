@@ -25,22 +25,18 @@
  * summary records); the metrics JSON snapshots every engine counter,
  * gauge, and histogram.
  *
- * Distributed hardening: --auth-token-file demands an HMAC
- * challenge-response from every worker before a lease is granted;
- * --session-grace-ms parks a disconnected worker's leases awaiting a
- * session resume instead of requeueing; SIGTERM drains gracefully —
- * no new leases, in-flight cells finish, sinks flush, and the journal
- * resumes the remainder.
+ * Distributed runs: --auth-token-file demands an HMAC
+ * challenge-response from every worker before a lease is granted. A
+ * worker that goes silent past --lease-ms, or whose connection
+ * breaks, is lost: its cells are requeued onto the rest of the fleet.
+ * A campaign killed mid-run resumes from its --journal.
  *
  * Exit codes: 0 success (possibly degraded, with warnings printed),
  * 1 campaign failure, 2 usage error, 3 simulated crash (resume with
- * the same --journal), 4 drained on SIGTERM (resume with the same
- * --journal).
+ * the same --journal).
  */
 
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -49,7 +45,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/campaign_check.hh"
@@ -72,15 +67,6 @@ namespace
 {
 
 namespace tools = rigor::tools;
-
-/** Set by the SIGTERM handler; watched by the drain thread. */
-std::atomic<bool> g_drainRequested{false};
-
-void
-requestDrain(int)
-{
-    g_drainRequested.store(true);
-}
 
 /** Everything campaign's flag table binds into. */
 struct CliOptions
@@ -271,15 +257,6 @@ main(int argc, char **argv)
         rigor::obs::MetricsRegistry metrics;
         rigor::obs::TraceWriter trace;
         rigor::obs::CampaignManifest manifest;
-        const auto write_sinks = [&] {
-            if (!cli.paths.metrics.empty())
-                metrics.writeTo(cli.paths.metrics);
-            if (!cli.paths.trace.empty())
-                trace.writeTo(cli.paths.trace);
-            if (!cli.paths.manifest.empty())
-                manifest.writeTo(cli.paths.manifest);
-        };
-
         // Remote isolation: bring up the lease-granting controller
         // and wait for the fleet before any cell is queued. Declared
         // after the manifest so its lease observer (which feeds the
@@ -304,10 +281,8 @@ main(int argc, char **argv)
                         rigor::exec::net::toString(event.kind);
                     std::fprintf(
                         stderr,
-                        "campaign: %s worker=%s%s%s%s%s%s%s\n",
+                        "campaign: %s worker=%s%s%s%s%s\n",
                         kind.c_str(), event.worker.c_str(),
-                        event.session.empty() ? "" : " session=",
-                        event.session.c_str(),
                         event.label.empty() ? "" : " cell=",
                         event.label.c_str(),
                         event.detail.empty() ? "" : ": ",
@@ -317,7 +292,6 @@ main(int argc, char **argv)
                     rigor::obs::LeaseEventRecord record;
                     record.kind = kind;
                     record.worker = event.worker;
-                    record.session = event.session;
                     record.leaseId = event.leaseId;
                     record.label = event.label;
                     record.detail = event.detail;
@@ -353,48 +327,6 @@ main(int argc, char **argv)
                     opts.campaign.remoteWorkers, cli.workerWaitMs);
                 return 1;
             }
-        }
-
-        // Graceful drain: SIGTERM stops lease granting, lets
-        // in-flight cells finish (bounded by one lease plus slack),
-        // fails the remainder so the journal can resume them, and
-        // exits 4. The watcher thread exists because beginDrain
-        // blocks and a signal handler must not; the join guard is
-        // declared after the controller so the watcher is stopped
-        // before the controller is torn down.
-        std::atomic<bool> watcher_stop{false};
-        std::thread drain_watcher;
-        struct WatcherJoin
-        {
-            std::atomic<bool> &stop;
-            std::thread &thread;
-            ~WatcherJoin()
-            {
-                stop.store(true);
-                if (thread.joinable())
-                    thread.join();
-            }
-        } watcher_join{watcher_stop, drain_watcher};
-        if (controller != nullptr) {
-            std::signal(SIGTERM, requestDrain);
-            drain_watcher = std::thread(
-                [&watcher_stop, ctrl = controller.get()]() {
-                    while (!watcher_stop.load()) {
-                        if (g_drainRequested.load()) {
-                            std::fprintf(
-                                stderr,
-                                "campaign: SIGTERM: draining (no new "
-                                "leases; waiting for in-flight "
-                                "cells)\n");
-                            ctrl->beginDrain(
-                                ctrl->options().lease +
-                                std::chrono::milliseconds(1000));
-                            return;
-                        }
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(50));
-                    }
-                });
         }
 
         // Journal replays get a visible progress line naming the
@@ -446,7 +378,6 @@ main(int argc, char **argv)
         }
 
         rigor::methodology::PbExperimentResult result;
-        try {
         if (opts.campaign.replication.replicates != 0) {
             rigor::methodology::RankStabilityOptions stability;
             stability.base = opts;
@@ -503,20 +434,6 @@ main(int argc, char **argv)
             result = rigor::methodology::runPbExperiment(workloads,
                                                          opts);
         }
-        } catch (const std::exception &e) {
-            if (controller == nullptr || !controller->draining())
-                throw;
-            // A SIGTERM drain deliberately fails the cells it could
-            // not finish; everything that did complete is already in
-            // the journal, so the same command resumes the remainder.
-            write_sinks();
-            std::fprintf(stderr,
-                         "campaign: drained: %s\n"
-                         "campaign: rerun with the same --journal to "
-                         "resume\n",
-                         e.what());
-            return 4;
-        }
 
         // Degradation trail first, table second: a reduced Table 9
         // is always preceded and suffixed by what it is missing.
@@ -535,7 +452,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "campaign: %s\n",
                      progress.toString().c_str());
 
-        write_sinks();
+        if (!cli.paths.metrics.empty())
+            metrics.writeTo(cli.paths.metrics);
+        if (!cli.paths.trace.empty())
+            trace.writeTo(cli.paths.trace);
+        if (!cli.paths.manifest.empty())
+            manifest.writeTo(cli.paths.manifest);
         if (!cli.paths.bench.empty()) {
             rigor::obs::BenchReport report;
             report.name = "campaign_pb_screen";

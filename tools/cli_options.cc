@@ -27,12 +27,11 @@ parseRaw(const char *text, unsigned long long &out)
 }
 
 /** A fault-drill kind by its exec::toString name ("segfault",
- *  "drop-connection", ...); TokenMismatch is the last kind. */
+ *  "drop-connection", ...). */
 bool
 parseFaultKind(const std::string &text, exec::FaultKind &kind)
 {
-    for (int k = 0; k <= static_cast<int>(exec::FaultKind::TokenMismatch);
-         ++k) {
+    for (int k = 0; k <= static_cast<int>(exec::FaultKind::Last); ++k) {
         const auto candidate = static_cast<exec::FaultKind>(k);
         if (exec::toString(candidate) == text) {
             kind = candidate;
@@ -319,9 +318,7 @@ injectLabelFlag(exec::FaultInjector &injector)
             "contains S (KIND: transient|permanent|\n"
             "hang|segfault|abort|busy-loop|\n"
             "alloc-bomb|kill|drop-connection|\n"
-            "stall-heartbeat|corrupt-frame|\n"
-            "partition|reconnect-storm|slow-loris|\n"
-            "duplicate-session|token-mismatch)",
+            "stall-heartbeat|corrupt-frame)",
             [&injector](const std::string &value) {
                 std::string label;
                 unsigned attempt = 0;
@@ -338,9 +335,6 @@ campaignFlags(exec::CampaignOptions &campaign,
               exec::net::ControllerOptions &controller,
               CampaignPaths &paths)
 {
-    // A lost worker's session is parked for 5 s unless the command
-    // line says otherwise (the library default is no parking).
-    controller.sessionGrace = std::chrono::milliseconds(5000);
     exec::FaultPolicy &policy = campaign.faultPolicy;
     sample::SamplingOptions &sampling = campaign.sampling;
     stats::ReplicationOptions &replication = campaign.replication;
@@ -398,12 +392,6 @@ campaignFlags(exec::CampaignOptions &campaign,
          "(default 1000; must stay under half\n"
          "the lease)",
          millisInto(controller.heartbeat, Bound::Positive)},
-        {"--session-grace-ms", "N",
-         "remote: hold a disconnected worker's\n"
-         "leases this long awaiting a session\n"
-         "resume with the same id (default\n"
-         "5000; 0 = reclaim immediately)",
-         millisInto(controller.sessionGrace)},
         authTokenFileFlag(paths.authTokenFile),
         {"--collect", "", "quarantine failures, don't fail fast",
          setTo(policy.collectFailures, true)},

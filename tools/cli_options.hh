@@ -123,8 +123,7 @@ struct CampaignPaths
  * The shared table of every flag that configures a campaign: rows
  * bind into @p campaign (execution, fault policy, isolation,
  * sampling, replication), into @p controller (listen endpoint,
- * lease, heartbeat, session grace), and into @p paths. Sets the
- * command-line session-grace default (5 s) on @p controller.
+ * lease, heartbeat), and into @p paths.
  */
 FlagTable campaignFlags(exec::CampaignOptions &campaign,
                         exec::net::ControllerOptions &controller,

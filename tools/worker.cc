@@ -17,31 +17,22 @@
  * forked sandbox pool, so a SIGSEGV or OOM costs one attempt, not
  * the daemon; under thread (the default) they run in-process.
  * --inject-label drills raise deterministic faults — including the
- * network kinds (drop-connection, stall-heartbeat, corrupt-frame,
- * partition, reconnect-storm, slow-loris, duplicate-session,
- * token-mismatch) that exercise the controller's lease reclaim,
- * session resume, auth, and late-result paths.
+ * network kinds (drop-connection, stall-heartbeat, corrupt-frame)
+ * that exercise the controller's lease reclaim and late-result paths.
+ * --auth-token-file answers the controller's HMAC challenge.
  *
- * Hardening: --auth-token-file answers the controller's HMAC
- * challenge; --reconnect N rides out broken connections by resuming
- * the same session (held leases hand back, no requeue) when the
- * controller's grace window allows; SIGTERM drains gracefully — the
- * worker announces Drain, finishes held cells, and exits 0.
+ * One run serves one connection: a worker whose connection breaks is
+ * lost to the campaign (its cells are requeued elsewhere) and exits 1.
  *
- * Exit codes: 0 controller shutdown or drain (clean end), 1 session
- * failure (connection lost past --reconnect, handshake rejected),
- * 2 usage error.
+ * Exit codes: 0 controller shutdown (clean end), 1 connect failure,
+ * lost connection, or rejected handshake, 2 usage error.
  */
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli_options.hh"
@@ -54,16 +45,6 @@ namespace
 {
 
 namespace tools = rigor::tools;
-
-/** Set by the SIGTERM handler; watched by the worker's heartbeat
- *  thread, which announces the drain to the controller. */
-std::atomic<bool> g_drainRequested{false};
-
-void
-requestDrain(int)
-{
-    g_drainRequested.store(true);
-}
 
 /** Everything worker's flag table binds into. */
 struct CliOptions
@@ -97,12 +78,6 @@ workerTable(CliOptions &cli)
         tools::isolationFlag(cli.isolation, false),
         tools::memLimitFlag(cli.pool.memLimitMb),
         tools::hardDeadlineFlag(cli.pool.hardDeadline),
-        {"--reconnect", "N",
-         "after a lost connection, reconnect\n"
-         "and resume the session up to N\n"
-         "times (held leases hand back when\n"
-         "the controller's grace allows)",
-         tools::unsignedInto(remote.reconnectAttempts)},
         tools::authTokenFileFlag(cli.authTokenFile),
         tools::injectLabelFlag(cli.injector),
     };
@@ -151,47 +126,22 @@ main(int argc, char **argv)
 
         rigor::exec::net::RemoteWorkerOptions &opts = cli.remote;
         opts.simulate = std::move(simulate);
-        opts.drainFlag = &g_drainRequested;
         if (!cli.authTokenFile.empty())
             opts.authToken =
                 rigor::exec::net::loadAuthToken(cli.authTokenFile);
-        std::signal(SIGTERM, requestDrain);
 
-        // Mid-session reconnects (with lease handback) happen inside
-        // runRemoteWorker; this loop only retries the initial connect,
-        // drawing on the same --reconnect budget.
-        unsigned connect_tries = opts.reconnectAttempts + 1;
-        rigor::exec::net::RemoteWorkerSession session;
-        while (true) {
-            try {
-                session = rigor::exec::net::runRemoteWorker(opts);
-                break;
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "worker: %s\n", e.what());
-                if (--connect_tries == 0)
-                    return 1;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(200));
-            }
-        }
-        std::fprintf(
-            stderr,
-            "worker: session ended (%s), %llu job(s) served, "
-            "%u resume(s)%s%s\n",
-            rigor::exec::net::toString(session.end).c_str(),
-            static_cast<unsigned long long>(session.jobsServed),
-            session.resumes,
-            session.error.empty() ? "" : ": ",
-            session.error.c_str());
-        switch (session.end) {
-          case rigor::exec::net::SessionEnd::Shutdown:
-          case rigor::exec::net::SessionEnd::Drained:
-            return 0;
-          case rigor::exec::net::SessionEnd::ConnectionLost:
-          case rigor::exec::net::SessionEnd::Rejected:
-            return 1;
-        }
-        return 1;
+        const rigor::exec::net::RemoteWorkerSession outcome =
+            rigor::exec::net::runRemoteWorker(opts);
+        std::fprintf(stderr,
+                     "worker: connection ended (%s), %llu job(s) "
+                     "served%s%s\n",
+                     rigor::exec::net::toString(outcome.end).c_str(),
+                     static_cast<unsigned long long>(outcome.jobsServed),
+                     outcome.error.empty() ? "" : ": ",
+                     outcome.error.c_str());
+        return outcome.end == rigor::exec::net::SessionEnd::Shutdown
+                   ? 0
+                   : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "worker: %s\n", e.what());
         return 1;
