@@ -19,12 +19,15 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 die_after_fork=0"
 # Every suite under tests/doe, tests/methodology, and tests/exec, plus
 # the sampled screen (its job observer runs on the engine's workers),
 # the TCP fleet (controller and remote-worker threads), and the
-# packed-trace replay (each engine worker's thread_local slot) —
+# packed-trace replay (each engine worker's thread_local slot), and
+# the slot rings and tag stores (each thread's retired-way list is
+# thread_local, and engine workers build cores concurrently) —
 # run straight from the gtest binary so one process exercises the
 # shared-engine paths end to end.
 ./build-tsan/tests/rigor_tests --gtest_filter="$(tr -d ' \n' <<'EOF'
 SimJobQueue.*:RunCache.*:ProcessorConfigHash.*:SimulationEngine.*:
 ReplaySlot.*:PackedTrace.*:
+TagStore.*:SlotAllocator.*:WayReuse.*:
 PbDesign.*:Foldover.*:Effects.*:Hadamard.*:GaloisField.*:
 PrimePower.*:DesignMatrix.*:DesignCost.*:OneAtATime.*:
 Classification.*:Ranking.*:RankTable.*:TextTable.*:

@@ -224,6 +224,10 @@ struct ProcWorkerPool::Slot
     std::uint64_t jobsDone = 0;
     /** Trace clock at spawn (span start). */
     std::uint64_t spawnTs = 0;
+    /** Workload and stream length of the last job this incarnation
+     *  answered: the stream its replay slot most likely holds. */
+    std::string lastWorkload;
+    std::uint64_t lastLength = 0;
 };
 
 ProcWorkerPool::ProcWorkerPool(Options options)
@@ -322,6 +326,8 @@ ProcWorkerPool::respawnLocked(Slot &slot,
                                    // dispatch respawns again
     slot.worker = spawnWorker(_options);
     slot.jobsDone = 0;
+    slot.lastWorkload.clear();
+    slot.lastLength = 0;
     slot.spawnTs = _trace != nullptr ? _trace->nowMicros() : 0;
     _respawns.fetch_add(1, std::memory_order_relaxed);
     if (_respawnCounter != nullptr)
@@ -388,16 +394,32 @@ ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
     Writer writer;
     makeRequest(job, ctx).serialize(writer);
 
+    // Prefer a free child that last answered the same stream (its
+    // replay slot skips regenerating it), then one that answered
+    // nothing yet, then any free child. Only free children count, so
+    // no job ever waits for a particular one.
+    const std::string workload =
+        job.workload != nullptr ? job.workload->name : std::string{};
+    const std::uint64_t length =
+        job.instructions + job.warmupInstructions;
     std::unique_lock<std::mutex> lock(_mutex);
     Slot *free_slot = nullptr;
     _freeCv.wait(lock, [&] {
+        free_slot = nullptr;
         for (Slot &slot : _slots) {
-            if (!slot.busy) {
+            if (slot.busy)
+                continue;
+            if (!workload.empty() && slot.lastWorkload == workload &&
+                slot.lastLength == length) {
                 free_slot = &slot;
                 return true;
             }
+            if (free_slot == nullptr ||
+                (!free_slot->lastWorkload.empty() &&
+                 slot.lastWorkload.empty()))
+                free_slot = &slot;
         }
-        return false;
+        return free_slot != nullptr;
     });
     Slot &slot = *free_slot;
     slot.busy = true;
@@ -459,6 +481,8 @@ ProcWorkerPool::execute(const SimJob &job, const AttemptContext &ctx)
     lock.lock();
     if (answered) {
         ++slot.jobsDone;
+        slot.lastWorkload = workload;
+        slot.lastLength = length;
         slot.busy = false;
         lock.unlock();
         _freeCv.notify_one();

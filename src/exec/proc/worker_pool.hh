@@ -112,7 +112,10 @@ class ProcWorkerPool
 
     /**
      * Ship one attempt to a free worker and block for its outcome.
-     * Returns measured cycles, or throws the classified fault
+     * Among free workers, one whose last answered job had the same
+     * workload and stream length is preferred (its replay slot still
+     * holds the stream), then one that has answered nothing since it
+     * was spawned. Returns measured cycles, or throws the classified fault
      * (TransientFault / DeadlineExceeded / ResourceExhausted /
      * PermanentFault — see the file comment). Thread-safe; callers
      * beyond the worker count queue on a condition variable.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace rigor::sim
 {
@@ -24,7 +25,7 @@ constexpr std::uint64_t btbMisfetchBubble = 2;
 // ---------------------------------------------------------------------
 
 SlotAllocator::SlotAllocator(std::uint32_t capacity_per_cycle)
-    : _capacity(capacity_per_cycle), _ring(ringSize, 0)
+    : _capacity(capacity_per_cycle), _ring(initialRingEntries, 0)
 {
     if (capacity_per_cycle == 0 || capacity_per_cycle > bookingMask)
         throw std::invalid_argument(
@@ -34,11 +35,20 @@ SlotAllocator::SlotAllocator(std::uint32_t capacity_per_cycle)
 }
 
 std::uint64_t
-SlotAllocator::allocate(std::uint64_t earliest)
+SlotAllocator::allocate(std::uint64_t earliest, std::uint64_t floor)
 {
+    if (earliest < floor || floor < _floor)
+        throw std::logic_error(
+            "SlotAllocator: request at cycle " + std::to_string(earliest) +
+            " with floor " + std::to_string(floor) +
+            " is below the live window (floor " +
+            std::to_string(_floor) + ")");
+    _floor = floor;
     std::uint64_t cycle = earliest;
     for (;;) {
-        std::uint64_t &entry = _ring[cycle & (ringSize - 1)];
+        if (cycle - floor > _mask)
+            grow(cycle);
+        std::uint64_t &entry = _ring[cycle & _mask];
         const std::uint64_t tag = (cycle + 1) << bookingBits;
         if ((entry & ~bookingMask) != tag) {
             entry = tag | 1;
@@ -53,9 +63,32 @@ SlotAllocator::allocate(std::uint64_t earliest)
 }
 
 void
+SlotAllocator::grow(std::uint64_t cycle)
+{
+    std::size_t size = _ring.size();
+    while (cycle - _floor >= size)
+        size *= 2;
+    std::vector<std::uint64_t> ring(size, 0);
+    const std::uint64_t mask = size - 1;
+    // Live bookings lie in [floor, floor + old size), so each lands
+    // in its own entry of the larger ring; dead ones are dropped.
+    for (const std::uint64_t entry : _ring) {
+        if (entry == 0)
+            continue;
+        const std::uint64_t booked = (entry >> bookingBits) - 1;
+        if (booked >= _floor)
+            ring[booked & mask] = entry;
+    }
+    _ring = std::move(ring);
+    _mask = mask;
+}
+
+void
 SlotAllocator::reset()
 {
-    std::fill(_ring.begin(), _ring.end(), 0);
+    _ring.assign(initialRingEntries, 0);
+    _mask = initialRingEntries - 1;
+    _floor = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -298,13 +331,15 @@ SuperscalarCore::run(trace::TraceSource &source,
             // Enhancement supplies the result: no functional unit,
             // zero execution latency.
             ++_stats.interceptedInstructions;
-            complete = _issueSlots.allocate(ready);
+            complete = _issueSlots.allocate(ready, _dispatchCycleCur);
         } else {
             switch (inst.op) {
               case OpClass::Load: {
                 ++_stats.loads;
-                const std::uint64_t issue = _issueSlots.allocate(ready);
-                const std::uint64_t port = _memPorts.allocate(issue);
+                const std::uint64_t issue =
+                    _issueSlots.allocate(ready, _dispatchCycleCur);
+                const std::uint64_t port =
+                    _memPorts.allocate(issue, _dispatchCycleCur);
                 const std::uint64_t lat =
                     _memory.dataAccess(port, inst.memAddr, false);
                 complete = port + lat;
@@ -312,8 +347,10 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::Store: {
                 ++_stats.stores;
-                const std::uint64_t issue = _issueSlots.allocate(ready);
-                const std::uint64_t port = _memPorts.allocate(issue);
+                const std::uint64_t issue =
+                    _issueSlots.allocate(ready, _dispatchCycleCur);
+                const std::uint64_t port =
+                    _memPorts.allocate(issue, _dispatchCycleCur);
                 _memory.dataAccess(port, inst.memAddr, true);
                 // The store buffer hides the access latency.
                 complete = port + 1;
@@ -321,7 +358,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::IntMult: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _intMultDiv.earliestStart(ready)));
+                    std::max(ready, _intMultDiv.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _intMultDiv.reserveFor(
                     issue, _config.intMultThroughput);
                 complete = start + _config.intMultLatency;
@@ -329,7 +367,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::IntDiv: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _intMultDiv.earliestStart(ready)));
+                    std::max(ready, _intMultDiv.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _intMultDiv.reserveFor(
                     issue, _config.intDivThroughput());
                 complete = start + _config.intDivLatency;
@@ -337,7 +376,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::FpAlu: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _fpAlu.earliestStart(ready)));
+                    std::max(ready, _fpAlu.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _fpAlu.reserveFor(
                     issue, _config.fpAluThroughput);
                 complete = start + _config.fpAluLatency;
@@ -345,7 +385,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::FpMult: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _fpMultDiv.earliestStart(ready)));
+                    std::max(ready, _fpMultDiv.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _fpMultDiv.reserveFor(
                     issue, _config.fpMultThroughput());
                 complete = start + _config.fpMultLatency;
@@ -353,7 +394,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::FpDiv: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _fpMultDiv.earliestStart(ready)));
+                    std::max(ready, _fpMultDiv.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _fpMultDiv.reserveFor(
                     issue, _config.fpDivThroughput());
                 complete = start + _config.fpDivLatency;
@@ -361,7 +403,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               }
               case OpClass::FpSqrt: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _fpMultDiv.earliestStart(ready)));
+                    std::max(ready, _fpMultDiv.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _fpMultDiv.reserveFor(
                     issue, _config.fpSqrtThroughput());
                 complete = start + _config.fpSqrtLatency;
@@ -373,7 +416,8 @@ SuperscalarCore::run(trace::TraceSource &source,
               case OpClass::Return:
               default: {
                 const std::uint64_t issue = _issueSlots.allocate(
-                    std::max(ready, _intAlu.earliestStart(ready)));
+                    std::max(ready, _intAlu.earliestStart(ready)),
+                    _dispatchCycleCur);
                 const std::uint64_t start = _intAlu.reserveFor(
                     issue, _config.intAluThroughput);
                 complete = start + _config.intAluLatency;

@@ -28,6 +28,7 @@
 #ifndef RIGOR_SIM_CORE_HH
 #define RIGOR_SIM_CORE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -108,15 +109,27 @@ struct CoreStats
 /**
  * Per-cycle bounded-capacity slot allocator (issue slots, memory
  * ports). A tagged ring buffer keeps O(1) allocation without a
- * global cycle loop; the ring must be larger than the maximum spread
- * between in-flight cycle numbers, which the ROB bounds. Each ring
- * entry packs the cycle it books and its booking count into one
- * word: (cycle + 1) << 16 | bookings, with 0 for an empty entry
- * (cycles stay far below the 2^48 the tag field holds).
+ * global cycle loop. Each ring entry packs the cycle it books and its
+ * booking count into one word: (cycle + 1) << 16 | bookings, with 0
+ * for an empty entry (cycles stay far below the 2^48 the tag field
+ * holds).
+ *
+ * The ring covers the live window only. Every request names a floor
+ * below which no request will ever come again (the core passes its
+ * in-order dispatch cycle: issue and port bookings are at least one
+ * cycle later, and dispatch never moves back). Bookings below the
+ * floor are dead, so the ring must only hold [floor, floor + size):
+ * it starts at initialRingEntries and doubles whenever a booking
+ * would land at or beyond floor + size, re-placing the live bookings.
+ * A request below its floor, or a floor that moves back, throws
+ * std::logic_error instead of aliasing a live booking.
  */
 class SlotAllocator
 {
   public:
+    /** Ring entries at construction and after reset() (8 KB). */
+    static constexpr std::size_t initialRingEntries = 1024;
+
     /**
      * @throws std::invalid_argument when @p capacity_per_cycle is 0
      *         or does not fit the 16-bit bookings field
@@ -125,20 +138,34 @@ class SlotAllocator
 
     /**
      * Book one slot at the first cycle >= @p earliest with capacity.
+     *
+     * @param floor no later request asks for a cycle below it; at
+     *        most @p earliest, and never lower than the previous
+     *        call's floor since construction or reset()
      * @return the cycle booked
+     * @throws std::logic_error when @p earliest < @p floor or the
+     *         floor moved back
      */
-    std::uint64_t allocate(std::uint64_t earliest);
+    std::uint64_t allocate(std::uint64_t earliest, std::uint64_t floor);
 
-    /** Release every booking, as if freshly constructed. */
+    /** Release every booking and return to the initial ring, as if
+     *  freshly constructed. */
     void reset();
 
+    /** Ring entries currently held. */
+    std::size_t ringEntries() const { return _ring.size(); }
+
   private:
-    static constexpr std::size_t ringSize = 1u << 17;
     static constexpr unsigned bookingBits = 16;
     static constexpr std::uint64_t bookingMask =
         (std::uint64_t{1} << bookingBits) - 1;
 
+    /** Double the ring until @p cycle fits above the floor. */
+    void grow(std::uint64_t cycle);
+
     std::uint32_t _capacity;
+    std::uint64_t _floor = 0;
+    std::uint64_t _mask = initialRingEntries - 1;
     std::vector<std::uint64_t> _ring;
 };
 

@@ -1,19 +1,84 @@
 #include "sim/replacement.hh"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace rigor::sim
 {
 
+struct TagStore::Retired
+{
+    std::vector<std::vector<Way>> arrays;
+    /** No way in any retired array is stamped above this. */
+    std::uint64_t highWater = 0;
+
+    /** The smallest array of at least @p ways ways, else the largest
+     *  grown to @p ways, else a new one. */
+    std::vector<Way> take(std::size_t ways)
+    {
+        auto fit = arrays.end();
+        auto largest = arrays.end();
+        for (auto it = arrays.begin(); it != arrays.end(); ++it) {
+            if (it->size() >= ways &&
+                (fit == arrays.end() || it->size() < fit->size()))
+                fit = it;
+            if (largest == arrays.end() || it->size() > largest->size())
+                largest = it;
+        }
+        const auto pick = fit != arrays.end() ? fit : largest;
+        std::vector<Way> array;
+        if (pick != arrays.end()) {
+            array = std::move(*pick);
+            arrays.erase(pick);
+        }
+        if (array.size() < ways)
+            array.resize(ways);
+        return array;
+    }
+
+    /** Keep @p array; past retiredArrays, free the smallest. */
+    void give(std::vector<Way> array, std::uint64_t tick)
+    {
+        highWater = std::max(highWater, tick);
+        arrays.push_back(std::move(array));
+        if (arrays.size() > retiredArrays)
+            arrays.erase(std::min_element(
+                arrays.begin(), arrays.end(),
+                [](const auto &a, const auto &b) {
+                    return a.size() < b.size();
+                }));
+    }
+};
+
+TagStore::Retired &
+TagStore::retired()
+{
+    thread_local Retired list;
+    return list;
+}
+
+std::size_t
+TagStore::retiredOnThisThread()
+{
+    return retired().arrays.size();
+}
+
 TagStore::TagStore(std::uint32_t num_sets, std::uint32_t assoc,
                    ReplacementKind replacement, std::uint64_t seed)
     : _numSets(num_sets), _assoc(assoc), _replacement(replacement),
-      _seed(seed), _tick(0), _rngState(seed | 1),
-      _ways(static_cast<std::size_t>(num_sets) * assoc)
+      _seed(seed), _base(retired().highWater), _tick(_base),
+      _rngState(seed | 1)
 {
     if (num_sets == 0 || assoc == 0)
         throw std::invalid_argument(
             "TagStore: sets and associativity must be non-zero");
+    _ways = retired().take(static_cast<std::size_t>(num_sets) * assoc);
+}
+
+TagStore::~TagStore()
+{
+    retired().give(std::move(_ways), _tick);
 }
 
 TagStore::Way *
@@ -51,7 +116,7 @@ TagStore::lookup(std::uint32_t set, std::uint64_t tag,
     Way *base = setBase(set);
     for (std::uint32_t w = 0; w < _assoc; ++w) {
         Way &way = base[w];
-        if (way.valid() && way.tag == tag) {
+        if (valid(way) && way.tag == tag) {
             if (_replacement == ReplacementKind::LRU)
                 way.stamp = ++_tick;
             if (payload_out)
@@ -67,7 +132,7 @@ TagStore::probe(std::uint32_t set, std::uint64_t tag) const
 {
     const Way *base = setBase(set);
     for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (base[w].valid() && base[w].tag == tag)
+        if (valid(base[w]) && base[w].tag == tag)
             return true;
     return false;
 }
@@ -78,7 +143,7 @@ TagStore::victimWay(std::uint32_t set)
     Way *base = setBase(set);
     // Invalid ways first.
     for (std::uint32_t w = 0; w < _assoc; ++w)
-        if (!base[w].valid())
+        if (!valid(base[w]))
             return w;
 
     switch (_replacement) {
@@ -104,7 +169,7 @@ TagStore::insert(std::uint32_t set, std::uint64_t tag,
 
     // Refill of an already-present tag just refreshes the payload.
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (base[w].valid() && base[w].tag == tag) {
+        if (valid(base[w]) && base[w].tag == tag) {
             base[w].payload = payload;
             base[w].stamp = ++_tick;
             return false;
@@ -113,7 +178,7 @@ TagStore::insert(std::uint32_t set, std::uint64_t tag,
 
     const std::uint32_t victim = victimWay(set);
     Way &way = base[victim];
-    const bool evicted = way.valid();
+    const bool evicted = valid(way);
     way.tag = tag;
     way.payload = payload;
     way.stamp = ++_tick;
@@ -123,9 +188,7 @@ TagStore::insert(std::uint32_t set, std::uint64_t tag,
 void
 TagStore::flush()
 {
-    for (Way &way : _ways)
-        way = Way{};
-    _tick = 0;
+    _base = _tick;
     _rngState = _seed | 1;
 }
 

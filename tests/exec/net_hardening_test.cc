@@ -296,9 +296,10 @@ void
 rawProbe(std::uint16_t port, const void *data, std::size_t size)
 {
     net::OwnedFd fd = net::connectTcp("127.0.0.1", port);
-    if (size > 0)
+    if (size > 0) {
         ASSERT_EQ(::write(fd.get(), data, size),
                   static_cast<ssize_t>(size));
+    }
 }
 
 } // namespace

@@ -255,6 +255,48 @@ TEST(ProcWorkerPool, ExecutesJobsInsideSandboxWorkers)
     EXPECT_EQ(pool.oomKills(), 0u);
 }
 
+TEST(ProcWorkerPool, ConsecutiveCellsOfOneStreamStayOnOneChild)
+{
+    // Each answer is the pid of the child that simulated the job.
+    proc::ProcWorkerPool::Options options;
+    options.workers = 3;
+    options.simulate = [](const exec::SimJob &, const exec::AttemptContext &) {
+        return static_cast<double>(::getpid());
+    };
+    proc::ProcWorkerPool pool(std::move(options));
+    const trace::WorkloadProfile &gzip = trace::workloadByName("gzip");
+    const trace::WorkloadProfile &mcf = trace::workloadByName("mcf");
+
+    // Dispatch from one thread always finds every child free; handing
+    // each job to the first free child would put all of them on one.
+    std::vector<double> gzip_pids;
+    std::vector<double> mcf_pids;
+    for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < 4; ++i)
+            gzip_pids.push_back(
+                pool.execute(sandboxJob(gzip, i, "ok"), attempt(i)));
+        for (std::size_t i = 0; i < 4; ++i)
+            mcf_pids.push_back(
+                pool.execute(sandboxJob(mcf, i, "ok"), attempt(i)));
+    }
+    for (const double pid : gzip_pids)
+        EXPECT_EQ(pid, gzip_pids.front());
+    for (const double pid : mcf_pids)
+        EXPECT_EQ(pid, mcf_pids.front());
+    EXPECT_NE(gzip_pids.front(), mcf_pids.front());
+
+    // The stream length is part of the stream: a longer gzip job goes
+    // to the child that has answered nothing yet.
+    exec::SimJob longer = sandboxJob(gzip, 0, "ok");
+    longer.instructions = 200;
+    const double longer_pid = pool.execute(longer, attempt(0));
+    EXPECT_NE(longer_pid, gzip_pids.front());
+    EXPECT_NE(longer_pid, mcf_pids.front());
+    EXPECT_EQ(pool.execute(sandboxJob(gzip, 0, "ok"), attempt(0)),
+              gzip_pids.front());
+    EXPECT_EQ(pool.respawns(), 0u);
+}
+
 TEST(ProcWorkerPool, ChildThrownFaultsKeepTheirTaxonomy)
 {
     const trace::WorkloadProfile &w = trace::workloadByName("gzip");

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <stdexcept>
 
 #include "sim/core.hh"
@@ -12,29 +15,29 @@ namespace trace = rigor::trace;
 TEST(SlotAllocator, HonorsPerCycleCapacity)
 {
     sim::SlotAllocator alloc(2);
-    EXPECT_EQ(alloc.allocate(10), 10u);
-    EXPECT_EQ(alloc.allocate(10), 10u);
-    EXPECT_EQ(alloc.allocate(10), 11u); // cycle 10 full
-    EXPECT_EQ(alloc.allocate(10), 11u);
-    EXPECT_EQ(alloc.allocate(10), 12u);
+    EXPECT_EQ(alloc.allocate(10, 10), 10u);
+    EXPECT_EQ(alloc.allocate(10, 10), 10u);
+    EXPECT_EQ(alloc.allocate(10, 10), 11u); // cycle 10 full
+    EXPECT_EQ(alloc.allocate(10, 10), 11u);
+    EXPECT_EQ(alloc.allocate(10, 10), 12u);
 }
 
 TEST(SlotAllocator, IndependentCycles)
 {
     sim::SlotAllocator alloc(1);
-    EXPECT_EQ(alloc.allocate(5), 5u);
-    EXPECT_EQ(alloc.allocate(100), 100u);
-    EXPECT_EQ(alloc.allocate(5), 6u);
+    EXPECT_EQ(alloc.allocate(5, 5), 5u);
+    EXPECT_EQ(alloc.allocate(100, 5), 100u);
+    EXPECT_EQ(alloc.allocate(5, 5), 6u);
 }
 
 TEST(SlotAllocator, OutOfOrderRequests)
 {
     sim::SlotAllocator alloc(1);
-    EXPECT_EQ(alloc.allocate(50), 50u);
+    EXPECT_EQ(alloc.allocate(50, 40), 50u);
     // An earlier-cycle request books the earlier cycle.
-    EXPECT_EQ(alloc.allocate(49), 49u);
+    EXPECT_EQ(alloc.allocate(49, 40), 49u);
     // Both booked: next request at 49 spills to 51.
-    EXPECT_EQ(alloc.allocate(49), 51u);
+    EXPECT_EQ(alloc.allocate(49, 49), 51u);
 }
 
 TEST(SlotAllocator, LongRuns)
@@ -43,9 +46,9 @@ TEST(SlotAllocator, LongRuns)
     // Fill 1000 consecutive cycles at capacity.
     for (std::uint64_t c = 0; c < 1000; ++c)
         for (int k = 0; k < 4; ++k)
-            EXPECT_EQ(alloc.allocate(c), c);
+            EXPECT_EQ(alloc.allocate(c, 0), c);
     // Everything full: the next request lands at 1000.
-    EXPECT_EQ(alloc.allocate(0), 1000u);
+    EXPECT_EQ(alloc.allocate(0, 0), 1000u);
 }
 
 TEST(SlotAllocator, RejectsACapacityItCannotBook)
@@ -57,8 +60,8 @@ TEST(SlotAllocator, RejectsACapacityItCannotBook)
 
     sim::SlotAllocator widest((1u << 16) - 1);
     for (std::uint32_t k = 0; k < (1u << 16) - 1; ++k)
-        ASSERT_EQ(widest.allocate(7), 7u);
-    EXPECT_EQ(widest.allocate(7), 8u);
+        ASSERT_EQ(widest.allocate(7, 7), 7u);
+    EXPECT_EQ(widest.allocate(7, 7), 8u);
 }
 
 TEST(SlotAllocator, CoreRejectsAWidthTheAllocatorCannotBook)
@@ -74,14 +77,79 @@ TEST(SlotAllocator, CoreRejectsAWidthTheAllocatorCannotBook)
 
 TEST(SlotAllocator, ResetReleasesEveryBooking)
 {
+    constexpr std::uint64_t lap = sim::SlotAllocator::initialRingEntries;
     sim::SlotAllocator alloc(1);
-    EXPECT_EQ(alloc.allocate(0), 0u);
-    EXPECT_EQ(alloc.allocate(0), 1u);
+    EXPECT_EQ(alloc.allocate(0, 0), 0u);
+    EXPECT_EQ(alloc.allocate(0, 0), 1u);
+    EXPECT_EQ(alloc.allocate(4 * lap, 0), 4 * lap); // grows the ring
+    EXPECT_GT(alloc.ringEntries(), lap);
     alloc.reset();
-    EXPECT_EQ(alloc.allocate(0), 0u);
-    // A ring entry one lap later is a different cycle, not a booking.
-    EXPECT_EQ(alloc.allocate(1u << 17), 1u << 17);
-    EXPECT_EQ(alloc.allocate(1u << 17), (1u << 17) + 1);
+    EXPECT_EQ(alloc.ringEntries(), lap);
+    EXPECT_EQ(alloc.allocate(0, 0), 0u);
+    // Once the floor passes cycle 0, the entry one lap later is a
+    // different cycle, not a booking, and needs no larger ring.
+    EXPECT_EQ(alloc.allocate(lap, 1), lap);
+    EXPECT_EQ(alloc.ringEntries(), lap);
+    // Cycle lap + 1 is a full lap above the floor: the ring grows and
+    // keeps the booking at lap.
+    EXPECT_EQ(alloc.allocate(lap, 1), lap + 1);
+    EXPECT_EQ(alloc.ringEntries(), 2 * lap);
+    EXPECT_EQ(alloc.allocate(lap, 1), lap + 2);
+}
+
+TEST(SlotAllocator, RejectsARequestBelowTheLiveWindow)
+{
+    sim::SlotAllocator alloc(2);
+    EXPECT_EQ(alloc.allocate(10, 8), 10u);
+    // Below its own floor.
+    EXPECT_THROW(alloc.allocate(7, 8), std::logic_error);
+    // A floor that moved back.
+    EXPECT_THROW(alloc.allocate(7, 7), std::logic_error);
+    // A refused request books nothing.
+    EXPECT_EQ(alloc.allocate(10, 8), 10u);
+    EXPECT_EQ(alloc.allocate(10, 8), 11u);
+    alloc.reset();
+    EXPECT_EQ(alloc.allocate(0, 0), 0u);
+}
+
+TEST(SlotAllocator, MatchesAReferenceModelUnderRandomRequests)
+{
+    // Reference: a map from cycle to bookings, searched linearly.
+    constexpr std::uint64_t lap = sim::SlotAllocator::initialRingEntries;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::mt19937_64 rng(seed);
+        const auto capacity = static_cast<std::uint32_t>(1 + seed % 8);
+        sim::SlotAllocator alloc(capacity);
+        std::map<std::uint64_t, std::uint32_t> model;
+        std::uint64_t floor = rng() % 100;
+        std::size_t peak = alloc.ringEntries();
+        constexpr int ops = 6000;
+        for (int op = 0; op < ops; ++op) {
+            // Mostly a short window near the floor, which fills to
+            // capacity, and sometimes a whole number of laps above
+            // it, where a ring too small for the spread would alias
+            // a full cycle; the far window widens to 64 laps.
+            const std::uint64_t roll = rng() % 100;
+            const std::uint64_t laps = 1 + op * 64 / ops;
+            const std::uint64_t spread =
+                roll < 70   ? rng() % 16
+                : roll < 85 ? rng() % lap
+                            : (rng() % laps) * lap + rng() % 16;
+            const std::uint64_t earliest = floor + spread;
+            std::uint64_t expected = earliest;
+            while (model[expected] >= capacity)
+                ++expected;
+            ++model[expected];
+            ASSERT_EQ(alloc.allocate(earliest, floor), expected)
+                << "seed " << seed << ", op " << op;
+            peak = std::max(peak, alloc.ringEntries());
+            if (rng() % 2 == 0)
+                floor += rng() % 4;
+            // Dead cycles drop out of the model as well.
+            model.erase(model.begin(), model.lower_bound(floor));
+        }
+        EXPECT_GT(peak, lap) << "seed " << seed;
+    }
 }
 
 TEST(StatsReport, MentionsAllSections)
